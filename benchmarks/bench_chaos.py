@@ -116,9 +116,7 @@ def hedging_sweep(requests, slow_every=5, slow_latency=0.25):
             slow_latency=slow_latency,
             slow_every=slow_every,
         )
-        pool = ThreadWorkerPool(
-            source, workers=4, hedge=hedged, hedge_delay=0.05
-        )
+        pool = ThreadWorkerPool(workers=4, hedge=hedged, hedge_delay=0.05)
         service = QueryService(
             source, workers=2, max_queue=requests, worker_pool=pool
         )

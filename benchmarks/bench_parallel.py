@@ -110,7 +110,7 @@ def scaling_sweep(n, requests, workers_list):
     # CPU-bound workload this cannot scale (the interpreter serializes
     # it), which is the whole argument for the process tier.
     top = max(workers_list)
-    pool = ThreadWorkerPool(source, workers=top)
+    pool = ThreadWorkerPool(workers=top)
     elapsed, responses, _health = serve_burst(
         source, plan, requests, worker_pool=pool, workers=top
     )

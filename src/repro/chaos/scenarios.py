@@ -159,7 +159,6 @@ def worker_kill(seed: int = 0, quick: bool = True) -> ChaosReport:
         max_queue=64,
         worker_pool=pool,
         default_deadline=60.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         for _ in range(batch):  # clean warm-up burst
@@ -198,7 +197,6 @@ def worker_stall(seed: int = 0, quick: bool = True) -> ChaosReport:
         max_queue=64,
         worker_pool=pool,
         default_deadline=60.0,
-        sleep=_NO_SLEEP,
     )
     with service:
         # Each request makes 2 accesses and each rehydrated worker
@@ -219,9 +217,7 @@ def latency_storm(seed: int = 0, quick: bool = True) -> ChaosReport:
         slow_latency=0.25,
         slow_every=5,
     )
-    pool = ThreadWorkerPool(
-        source, workers=4, hedge=True, hedge_delay=0.05
-    )
+    pool = ThreadWorkerPool(workers=4, hedge=True, hedge_delay=0.05)
     requests = 12 if quick else 24
     harness = ScenarioHarness("latency_storm", seed, 60.0, oracle)
     service = QueryService(

@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["none", "thread", "process"],
         default="none",
         help="execution tier: none (in-service threads), thread "
-             "(ThreadWorkerPool behind the WorkerPool interface), or "
+             "(a ThreadWorkerPool over the service's runtime), or "
              "process (ProcessPoolExecutor -- ships plan IR to spawned "
              "workers and scales CPU-bound serving past the GIL)",
     )
@@ -569,9 +569,7 @@ def _serve_demo(args) -> int:
             source, workers=args.tier_workers, **resilience
         )
     elif args.worker_tier == "thread":
-        worker_pool = ThreadWorkerPool(
-            source, workers=args.tier_workers, **resilience
-        )
+        worker_pool = ThreadWorkerPool(workers=args.tier_workers, **resilience)
     else:
         worker_pool = None
         if args.hedge or args.watchdog_seconds is not None:
@@ -588,7 +586,9 @@ def _serve_demo(args) -> int:
         source,
         workers=args.workers,
         max_queue=args.max_queue,
-        cache=AccessCache(),
+        # Process workers run over their own runtime: an access cache
+        # cannot cross into them, so only the other tiers get one.
+        cache=AccessCache() if args.worker_tier != "process" else None,
         retry=RetryPolicy(),
         default_deadline=args.deadline,
         default_budget=budget,

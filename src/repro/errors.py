@@ -315,6 +315,24 @@ class WorkerStalled(ServiceError):
         super().__init__(message)
 
 
+class UnsupportedOnTier(ServiceError):
+    """A service was configured with knobs its execution tier cannot honour.
+
+    Raised at construction, never mid-serving: a live object (an access
+    cache, a breaker registry, a sleep hook) cannot cross a process
+    boundary, so the process tier refuses it instead of dropping it.
+    ``knobs`` names the offending constructor arguments; ``tier`` is
+    the tier's kind.
+    """
+
+    def __init__(
+        self, message: str, *, knobs: Sequence[str] = (), tier: str = ""
+    ) -> None:
+        self.knobs = tuple(knobs)
+        self.tier = tier
+        super().__init__(message)
+
+
 # ------------------------------------------------------------- chase layer
 class ChaseError(ReproError):
     """A failure inside the chase engine."""
@@ -373,6 +391,7 @@ __all__ = [
     "ServiceStopped",
     "SourceUnavailable",
     "TransientAccessError",
+    "UnsupportedOnTier",
     "WorkerCrashed",
     "WorkerStalled",
 ]

@@ -130,3 +130,8 @@ class ResourceBudget:
             "on_result_overflow": self.on_result_overflow,
             "truncated_rows": self.truncated_rows,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ResourceBudget":
+        """Inverse of :meth:`as_dict`."""
+        return cls(**data)

@@ -80,6 +80,8 @@ class AccessCache:
         self._inflight: Dict[_Key, _InFlight] = {}
         self._instance_version: Optional[int] = None
         self._lock = threading.Lock()
+        # Per thread: whether that thread's latest completed fetch hit.
+        self._last = threading.local()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -121,6 +123,7 @@ class AccessCache:
                         self.misses += 1
                         break  # this thread is the fetcher
             if entry is not None:
+                self._last.hit = True
                 if charge:
                     source.log.append(
                         AccessRecord(
@@ -153,7 +156,19 @@ class AccessCache:
                     self.evictions += 1
             self._inflight.pop(key, None)
         flight.event.set()
+        self._last.hit = False
         return result
+
+    def last_fetch_hit(self) -> bool:
+        """Whether the calling thread's most recent completed fetch hit.
+
+        Set as each :meth:`fetch` returns, so a fetch nested inside
+        another (a source wrapper consulting the same cache) cannot
+        change the outer call's answer, and fetches on other threads
+        never can.  Callers read it right after their own fetch to
+        count hits per call instead of diffing the shared :attr:`hits`.
+        """
+        return getattr(self._last, "hit", False)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

@@ -633,7 +633,7 @@ class _CAccess:
                 )
             )
         batches = []
-        cache_hits_before = cache.hits if cache is not None else 0
+        cache_hits = 0
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
         for values in bindings:
@@ -651,6 +651,8 @@ class _CAccess:
                 accessed_rows = cache.fetch(source, self.method, values)
             else:
                 accessed_rows = source.access(self.method, values)
+            if cache is not None and cache.last_fetch_hit():
+                cache_hits += 1
             batches.append(accessed_rows)
         if stats is not None:
             stats.rows_in = inputs.nrows
@@ -658,7 +660,7 @@ class _CAccess:
             stats.deduped = inputs.nrows - len(bindings)
             stats.rows_fetched = sum(len(batch) for batch in batches)
             if cache is not None:
-                stats.cache_hits = cache.hits - cache_hits_before
+                stats.cache_hits = cache_hits
             if resilience is not None:
                 stats.retries = resilience.retries - retries_before
                 stats.faults = resilience.faults - faults_before

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Type
 
+from repro import errors
 from repro.errors import (
     AccessError,
     CircuitOpen,
@@ -94,6 +95,36 @@ class RetryPolicy:
         capped = min(raw, self.max_delay)
         stretch = unit_interval(self.seed, method, inputs, attempt)
         return capped * (1.0 + self.jitter * stretch)
+
+    def as_dict(self) -> Dict:
+        """A JSON-able representation; ``retry_on`` by error class name.
+
+        Raises :class:`ValueError` for a ``retry_on`` class that is not
+        one of :mod:`repro.errors`: it could not be named on decode.
+        """
+        for kind in self.retry_on:
+            if getattr(errors, kind.__name__, None) is not kind:
+                raise ValueError(
+                    f"retry_on class {kind.__name__} is not in repro.errors"
+                )
+        return {
+            "max_attempts": self.max_attempts,
+            "base_delay": self.base_delay,
+            "multiplier": self.multiplier,
+            "max_delay": self.max_delay,
+            "jitter": self.jitter,
+            "seed": self.seed,
+            "retry_on": [kind.__name__ for kind in self.retry_on],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "RetryPolicy":
+        """Inverse of :meth:`as_dict` (error names from :mod:`repro.errors`)."""
+        fields = dict(data)
+        fields["retry_on"] = tuple(
+            getattr(errors, name) for name in fields["retry_on"]
+        )
+        return cls(**fields)
 
 
 class Deadline:

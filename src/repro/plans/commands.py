@@ -110,7 +110,7 @@ class AccessCommand:
             distinct.setdefault(values, None)
         rows = set()
         fetched = 0
-        cache_hits_before = cache.hits if cache is not None else 0
+        cache_hits = 0
         retries_before = resilience.retries if resilience is not None else 0
         faults_before = resilience.faults if resilience is not None else 0
         batch = getattr(source, "access_batch", None) if cache is None else None
@@ -153,6 +153,8 @@ class AccessCommand:
                     accessed_rows = cache.fetch(source, self.method, values)
                 else:
                     accessed_rows = source.access(self.method, values)
+                if cache is not None and cache.last_fetch_hit():
+                    cache_hits += 1
                 fetched += len(accessed_rows)
                 for accessed in accessed_rows:
                     out_row = self._map_output(accessed)
@@ -167,7 +169,7 @@ class AccessCommand:
             stats.deduped = len(inputs.rows) - len(distinct)
             stats.rows_fetched = fetched
             if cache is not None:
-                stats.cache_hits = cache.hits - cache_hits_before
+                stats.cache_hits = cache_hits
             if resilience is not None:
                 stats.retries = resilience.retries - retries_before
                 stats.faults = resilience.faults - faults_before

@@ -1,4 +1,4 @@
-"""Plan tools: dead-command elimination, serialization, SQL rendering.
+"""Plan tools: dead-command elimination, union, SQL rendering.
 
 Proof-generated plans are systematic rather than tidy: they may assign
 temporary tables that no later command reads (typically leftovers from
@@ -11,13 +11,13 @@ over temporary tables -- access commands become commented service calls
 ``CREATE TEMP TABLE ... AS SELECT``.  This is documentation output, not
 an executable dialect.
 
-``plan_to_dict`` / ``plan_from_dict`` give a stable JSON-able round-trip
-for persisting plans.
+Plans are persisted and shipped in one format: the canonical IR of
+:mod:`repro.plans.ir` (``plan_to_ir`` / ``ir_to_plan``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 from repro.logic.terms import Constant
 from repro.plans.commands import (
@@ -32,7 +32,6 @@ from repro.plans.expressions import (
     EqConst,
     Expression,
     Join,
-    NamedTable,
     NeqAttr,
     NeqConst,
     Project,
@@ -221,198 +220,3 @@ def _sql_condition(condition) -> str:
     if isinstance(condition, NeqConst):
         return f"{condition.attribute} <> {condition.value!r}"
     return repr(condition)
-
-
-# -------------------------------------------------------- serialization
-def plan_to_dict(plan: Plan) -> Dict:
-    """A JSON-able representation of a plan.
-
-    A convenience dump for inspection and ad-hoc persistence.  For the
-    *canonical*, version-stamped wire format (sorted literal rows,
-    key-sorted JSON, stable fingerprints — what the columnar backend
-    compiles from) use :mod:`repro.plans.ir` instead.
-    """
-    return {
-        "name": plan.name,
-        "output_table": plan.output_table,
-        "commands": [_command_to_dict(c) for c in plan.commands],
-    }
-
-
-def plan_from_dict(data: Dict) -> Plan:
-    """Inverse of :func:`plan_to_dict`."""
-    commands = tuple(
-        _command_from_dict(entry) for entry in data["commands"]
-    )
-    return Plan(commands, data["output_table"], name=data["name"])
-
-
-def _command_to_dict(command: Command) -> Dict:
-    if isinstance(command, AccessCommand):
-        return {
-            "kind": "access",
-            "target": command.target,
-            "method": command.method,
-            "input_expr": _expr_to_dict(command.input_expr),
-            "input_binding": [
-                {"const": entry.value}
-                if isinstance(entry, Constant)
-                else {"attr": entry}
-                for entry in command.input_binding
-            ],
-            "output_map": [
-                [attr, list(positions)]
-                for attr, positions in command.output_map
-            ],
-        }
-    return {
-        "kind": "middleware",
-        "target": command.target,
-        "expr": _expr_to_dict(command.expr),
-    }
-
-
-def _command_from_dict(data: Dict) -> Command:
-    if data["kind"] == "access":
-        binding = tuple(
-            Constant(entry["const"]) if "const" in entry else entry["attr"]
-            for entry in data["input_binding"]
-        )
-        return AccessCommand(
-            target=data["target"],
-            method=data["method"],
-            input_expr=_expr_from_dict(data["input_expr"]),
-            input_binding=binding,
-            output_map=tuple(
-                (attr, tuple(positions))
-                for attr, positions in data["output_map"]
-            ),
-        )
-    return MiddlewareCommand(
-        target=data["target"], expr=_expr_from_dict(data["expr"])
-    )
-
-
-def _expr_to_dict(expr: Expression) -> Dict:
-    if isinstance(expr, Singleton):
-        return {"op": "singleton"}
-    if isinstance(expr, Literal):
-        return {
-            "op": "literal",
-            "attributes": list(expr.table.attributes),
-            "rows": [
-                [cell.value for cell in row]
-                for row in sorted(expr.table.rows, key=repr)
-            ],
-        }
-    if isinstance(expr, Scan):
-        return {"op": "scan", "table": expr.table}
-    if isinstance(expr, Project):
-        return {
-            "op": "project",
-            "child": _expr_to_dict(expr.child),
-            "attrs": list(expr.attrs),
-        }
-    if isinstance(expr, Select):
-        return {
-            "op": "select",
-            "child": _expr_to_dict(expr.child),
-            "conditions": [_condition_to_dict(c) for c in expr.conditions],
-        }
-    if isinstance(expr, Join):
-        return {
-            "op": "join",
-            "left": _expr_to_dict(expr.left),
-            "right": _expr_to_dict(expr.right),
-        }
-    if isinstance(expr, Union):
-        return {
-            "op": "union",
-            "left": _expr_to_dict(expr.left),
-            "right": _expr_to_dict(expr.right),
-        }
-    if isinstance(expr, Difference):
-        return {
-            "op": "difference",
-            "left": _expr_to_dict(expr.left),
-            "right": _expr_to_dict(expr.right),
-        }
-    if isinstance(expr, Rename):
-        return {
-            "op": "rename",
-            "child": _expr_to_dict(expr.child),
-            "mapping": [list(pair) for pair in expr.mapping],
-        }
-    raise TypeError(f"cannot serialize {expr!r}")
-
-
-def _expr_from_dict(data: Dict) -> Expression:
-    op = data["op"]
-    if op == "singleton":
-        return Singleton()
-    if op == "literal":
-        return Literal(
-            NamedTable.from_rows(
-                tuple(data["attributes"]),
-                [
-                    tuple(Constant(v) for v in row)
-                    for row in data["rows"]
-                ],
-            )
-        )
-    if op == "scan":
-        return Scan(data["table"])
-    if op == "project":
-        return Project(_expr_from_dict(data["child"]), tuple(data["attrs"]))
-    if op == "select":
-        return Select(
-            _expr_from_dict(data["child"]),
-            tuple(_condition_from_dict(c) for c in data["conditions"]),
-        )
-    if op == "join":
-        return Join(
-            _expr_from_dict(data["left"]), _expr_from_dict(data["right"])
-        )
-    if op == "union":
-        return Union(
-            _expr_from_dict(data["left"]), _expr_from_dict(data["right"])
-        )
-    if op == "difference":
-        return Difference(
-            _expr_from_dict(data["left"]), _expr_from_dict(data["right"])
-        )
-    if op == "rename":
-        return Rename(
-            _expr_from_dict(data["child"]),
-            tuple(tuple(pair) for pair in data["mapping"]),
-        )
-    raise ValueError(f"unknown expression op {op!r}")
-
-
-def _condition_to_dict(condition) -> Dict:
-    if isinstance(condition, EqAttr):
-        return {"kind": "eq-attr", "left": condition.left,
-                "right": condition.right}
-    if isinstance(condition, EqConst):
-        return {"kind": "eq-const", "attr": condition.attribute,
-                "value": condition.value.value}
-    if isinstance(condition, NeqAttr):
-        return {"kind": "neq-attr", "left": condition.left,
-                "right": condition.right}
-    if isinstance(condition, NeqConst):
-        return {"kind": "neq-const", "attr": condition.attribute,
-                "value": condition.value.value}
-    raise TypeError(f"cannot serialize condition {condition!r}")
-
-
-def _condition_from_dict(data: Dict):
-    kind = data["kind"]
-    if kind == "eq-attr":
-        return EqAttr(data["left"], data["right"])
-    if kind == "eq-const":
-        return EqConst(data["attr"], Constant(data["value"]))
-    if kind == "neq-attr":
-        return NeqAttr(data["left"], data["right"])
-    if kind == "neq-const":
-        return NeqConst(data["attr"], Constant(data["value"]))
-    raise ValueError(f"unknown condition kind {kind!r}")

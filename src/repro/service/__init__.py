@@ -12,11 +12,15 @@ Public surface of :mod:`repro.service`:
   priority-aware admission with load shedding and preemption.
 * The priority classes ``PRIORITY_HIGH`` / ``PRIORITY_NORMAL`` /
   ``PRIORITY_BEST_EFFORT``.
+* :func:`~repro.service.runtime.run_request` over a
+  :class:`~repro.service.runtime.Runtime` -- the one function that
+  executes a request, whichever tier runs it.
 * :class:`~repro.service.workers.WorkerPool` and its
   :class:`~repro.service.workers.ProcessWorkerPool` /
   :class:`~repro.service.workers.ThreadWorkerPool` implementations --
-  the execution tier that ships plan IR (not pickles) to worker
-  processes to scale CPU-bound serving past the GIL.
+  the execution tiers: worker processes fed plan IR (not pickles) to
+  scale CPU-bound serving past the GIL, or a thread pool over the
+  service's own runtime.
 * :class:`~repro.service.method_health.MethodHealthRegistry` -- the
   dead-method ledger behind health-aware degraded planning, and
   :class:`~repro.service.workers.LatencyTracker` -- the EWMA/P95
@@ -35,6 +39,7 @@ from repro.service.request import (
     QueryResponse,
     Ticket,
 )
+from repro.service.runtime import Runtime, run_request
 from repro.service.service import QueryService, ServiceHealth
 from repro.service.workers import (
     LatencyTracker,
@@ -59,11 +64,13 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "QueryService",
+    "Runtime",
     "ServiceHealth",
     "SourceSpecError",
     "ThreadWorkerPool",
     "Ticket",
     "WorkerPool",
+    "run_request",
     "source_to_spec",
     "spec_to_source",
 ]

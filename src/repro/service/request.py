@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.exec.budget import ResourceBudget
+from repro.exec.resilience import Clock, Deadline
 from repro.exec.stats import ExecStats
 from repro.plans.plan import Plan
 
@@ -56,6 +57,14 @@ class QueryRequest:
             )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive")
+
+    def deadline(self, clock: Clock) -> Optional[Deadline]:
+        """The request's deadline, counted on ``clock`` from submission."""
+        if self.deadline_seconds is None:
+            return None
+        deadline = Deadline(self.deadline_seconds, clock=clock)
+        deadline.started = self.submitted_at
+        return deadline
 
 
 @dataclass

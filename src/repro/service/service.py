@@ -49,7 +49,6 @@ from typing import Dict, List, Mapping, Optional
 from repro.cost.bounds import SizeBounds
 from repro.cost.calibration import CalibrationStore
 from repro.data.accessible_part import accessible_part
-from repro.data.decorators import BudgetedSource
 from repro.data.instance import _to_constant
 from repro.errors import (
     DeadlineExceeded,
@@ -61,41 +60,28 @@ from repro.errors import (
     ReproError,
     ServiceOverloaded,
     ServiceStopped,
+    UnsupportedOnTier,
 )
-from repro.exec.batch import substitute_constants
 from repro.exec.budget import ERROR, ResourceBudget
 from repro.exec.cache import AccessCache
-from repro.exec.resilience import (
-    CLOSED,
-    BreakerRegistry,
-    Deadline,
-    ResilientDispatcher,
-    RetryPolicy,
-    Sleep,
-)
+from repro.exec.resilience import CLOSED, BreakerRegistry, RetryPolicy, Sleep
 from repro.exec.stats import ExecStats
 from repro.logic.atoms import Atom
 from repro.logic.queries import ConjunctiveQuery
 from repro.planner.plan_cache import PlanCache, canonical_query_text, plan_cache_key
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.plans.expressions import NamedTable
-from repro.plans.ir import table_from_ir
 from repro.plans.plan import Plan
 from repro.service.admission import AdmissionQueue
 from repro.service.method_health import MethodHealthRegistry
-from repro.service.workers import (
-    WorkerPool,
-    encode_bindings,
-    encoded_plan_ir,
-    rebuild_error,
-    retry_to_dict,
-)
 from repro.service.request import (
     PRIORITY_NORMAL,
     QueryRequest,
     QueryResponse,
     Ticket,
 )
+from repro.service.runtime import Runtime, run_request
+from repro.service.workers import WorkerPool
 
 #: retry-after floor when the service has not served anything yet.
 _DEFAULT_SERVICE_TIME = 0.05
@@ -219,10 +205,26 @@ class QueryService:
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be positive")
+        if not getattr(worker_pool, "shares_runtime", True):
+            # Live objects cannot cross into the tier's workers: refuse
+            # them here rather than serve without them.
+            knobs = [
+                name
+                for name, value in (
+                    ("cache", cache), ("breakers", breakers), ("sleep", sleep)
+                )
+                if value is not None
+            ]
+            if knobs:
+                raise UnsupportedOnTier(
+                    f"the {worker_pool.kind} tier cannot honour "
+                    f"{', '.join(k + '=' for k in knobs)}: its workers run "
+                    "over their own runtime",
+                    knobs=knobs,
+                    tier=worker_pool.kind,
+                )
         self.source = source
         self.workers = workers
-        self.cache = cache
-        self.executor = executor
         # Feedback loop: every served request's ExecStats are folded
         # into the calibration store (per-method fan-out/selectivity),
         # which cost functions holding the store read on the next plan.
@@ -240,9 +242,10 @@ class QueryService:
         )
         self._rejected_inadmissible = 0
         # The execution tier: None keeps plan runs in this process's
-        # worker threads; a WorkerPool ships them (plan IR + bindings +
-        # budget, never pickles) to the tier -- typically a
-        # ProcessWorkerPool, which is what escapes the GIL.
+        # worker threads; a ThreadWorkerPool runs them on its threads
+        # over the same runtime; a ProcessWorkerPool ships them (plan IR
+        # + bindings + budget, never pickles) to worker processes, which
+        # is what escapes the GIL.
         self.worker_pool = worker_pool
         # Cross-request plan cache consulted by submit_query before
         # invoking Algorithm 1 search.
@@ -260,16 +263,27 @@ class QueryService:
         self.allow_degraded = allow_degraded
         self._replans = 0
         self._degraded_served = 0
-        self.retry = retry
         self.breakers = breakers if breakers is not None else BreakerRegistry(
             clock=clock
         )
         self.default_deadline = default_deadline
         self.default_budget = default_budget
         self.clock = clock
-        self.sleep = sleep
         self.name = name
         self.stats: Optional[ExecStats] = ExecStats() if collect_stats else None
+        # Everything a request executes over, shared by every worker
+        # thread and by a thread tier (docs/theory.md, "Concurrent
+        # serving").
+        self.runtime = Runtime(
+            source,
+            cache=cache,
+            breakers=self.breakers,
+            retry=retry,
+            sleep=sleep,
+            executor=executor,
+            clock=clock,
+            collect_stats=collect_stats,
+        )
         self._queue = AdmissionQueue(max_queue)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -400,9 +414,6 @@ class QueryService:
             submitted_at=self.clock(),
         )
         ticket = Ticket(request)
-        ticket.deadline = (
-            Deadline(seconds, clock=self.clock) if seconds is not None else None
-        )
         try:
             evicted = self._queue.offer(
                 ticket, retry_after=self._retry_after_hint()
@@ -717,136 +728,48 @@ class QueryService:
             self._account(response)
 
     def _execute(self, ticket: Ticket) -> QueryResponse:
+        """Run one admitted request in-process or on the execution tier.
+
+        Either way the request goes through
+        :func:`~repro.service.runtime.run_request`.  On a tier the
+        response's ``wall_time`` is the whole round trip (hedge delay
+        and shipping included), and the deadline's remainder bounds the
+        wait; tier-level failures (a killed worker, a stall, a timeout)
+        surface as typed errors on this ticket only.
+        """
         request = ticket.request
         queue_wait = max(0.0, self.clock() - request.submitted_at)
-        deadline: Optional[Deadline] = ticket.deadline
-        stats = ExecStats() if self.stats is not None else None
+        deadline = request.deadline(self.clock)
         if deadline is not None and deadline.expired:
-            return QueryResponse(
+            response = QueryResponse(
                 request.request_id,
                 error=DeadlineExceeded(
                     f"deadline of {request.deadline_seconds}s expired "
                     f"after {queue_wait:.3f}s in the admission queue"
                 ),
-                stats=stats,
-                queue_wait=queue_wait,
+                stats=ExecStats() if self.stats is not None else None,
             )
-        if self.worker_pool is not None:
-            return self._execute_on_pool(ticket, queue_wait, stats)
-        plan = request.plan
-        if request.bindings:
-            plan = substitute_constants(plan, request.bindings)
-        source = self.source
-        budget = request.budget
-        if budget is not None and (
-            budget.max_accesses is not None or budget.max_cost is not None
-        ):
-            source = BudgetedSource(
-                source,
-                max_invocations=budget.max_accesses,
-                max_cost=budget.max_cost,
-            )
-        dispatcher = ResilientDispatcher(
-            retry=self.retry,
-            breakers=self.breakers,
-            deadline=deadline,
-            sleep=self.sleep,
-        )
-        started = perf_counter()
-        try:
-            table = plan.execute(
-                source,
-                cache=self.cache,
-                stats=stats,
-                resilience=dispatcher,
-                budget=budget,
-                executor=self.executor,
-            )
-        except ReproError as error:
-            return QueryResponse(
-                request.request_id,
-                error=error,
-                stats=stats,
-                queue_wait=queue_wait,
-                wall_time=perf_counter() - started,
-            )
-        truncated = budget.truncated_rows if budget is not None else 0
-        return QueryResponse(
-            request.request_id,
-            table=table,
-            complete=truncated == 0,
-            partial=truncated > 0,
-            truncated_rows=truncated,
-            stats=stats,
-            queue_wait=queue_wait,
-            wall_time=perf_counter() - started,
-        )
-
-    def _execute_on_pool(
-        self,
-        ticket: Ticket,
-        queue_wait: float,
-        stats: Optional[ExecStats],
-    ) -> QueryResponse:
-        """Ship one admitted request to the execution tier.
-
-        The request crosses the boundary as data -- plan IR, term-IR
-        bindings, a budget dict, a retry-policy dict -- and the answer
-        comes back as sorted rows plus a stats dict.  The per-request
-        deadline is enforced parent-side as the blocking-wait timeout
-        (worker processes cannot share the parent's clock); tier-level
-        failures (a killed worker, a timeout) surface as typed errors
-        on this ticket only, and the pool recovers for the next one.
-        """
-        request = ticket.request
-        budget = request.budget
-        deadline: Optional[Deadline] = ticket.deadline
-        payload = {
-            # Memoized per plan object: a hot plan (and every hedge
-            # duplicate the tier issues for it) is encoded once.
-            "plan": encoded_plan_ir(request.plan),
-            "bindings": encode_bindings(request.bindings),
-            "executor": self.executor,
-            "collect_stats": stats is not None,
-            "budget": budget.as_dict() if budget is not None else None,
-            "retry": retry_to_dict(self.retry),
-        }
-        timeout = deadline.remaining() if deadline is not None else None
-        started = perf_counter()
-        try:
-            result = self.worker_pool.run_request(payload, timeout=timeout)
-        except ReproError as error:
-            return QueryResponse(
-                request.request_id,
-                error=error,
-                stats=stats,
-                queue_wait=queue_wait,
-                wall_time=perf_counter() - started,
-            )
-        wall_time = perf_counter() - started
-        if stats is not None and result.get("stats"):
-            stats.merge(ExecStats.from_dict(result["stats"]))
-        if not result.get("ok"):
-            return QueryResponse(
-                request.request_id,
-                error=rebuild_error(result),
-                stats=stats,
-                queue_wait=queue_wait,
-                wall_time=wall_time,
-            )
-        truncated = int(result.get("truncated", 0))
-        if budget is not None:
-            budget.truncated_rows = truncated
-        return QueryResponse(
-            request.request_id,
-            table=table_from_ir(result["table"]),
-            complete=truncated == 0,
-            partial=truncated > 0,
-            truncated_rows=truncated,
-            stats=stats,
-            queue_wait=queue_wait,
-            wall_time=wall_time,
-        )
+        elif self.worker_pool is None:
+            response = run_request(request, self.runtime)
+        else:
+            started = perf_counter()
+            try:
+                response = self.worker_pool.run(
+                    request,
+                    self.runtime,
+                    timeout=deadline.remaining() if deadline else None,
+                )
+            except ReproError as error:
+                response = QueryResponse(
+                    request.request_id,
+                    error=error,
+                    stats=ExecStats() if self.stats is not None else None,
+                )
+            response.wall_time = perf_counter() - started
+        response.queue_wait = queue_wait
+        if request.budget is not None:
+            request.budget.truncated_rows = response.truncated_rows
+        return response
 
     def _observe_outage(self, response: QueryResponse) -> None:
         """Mark the failing method dead on a hard-outage response.
@@ -1005,7 +928,11 @@ class QueryService:
                 preempted=self._queue.preempted,
                 mean_service_time=self._mean_service_time,
                 breakers=self.breakers.states(),
-                cache=self.cache.as_dict() if self.cache is not None else None,
+                cache=(
+                    self.runtime.cache.as_dict()
+                    if self.runtime.cache is not None
+                    else None
+                ),
                 stats=self.stats.as_dict() if self.stats is not None else None,
                 worker_tier=worker_tier,
                 plan_cache=plan_cache,

@@ -1,42 +1,48 @@
-"""The process-parallel worker tier: ship plans and specs, not pickles.
+"""The execution tiers: a thread pool, and worker processes fed specs.
 
-CPython's GIL means the thread pool inside :class:`~repro.service.
-QueryService` only scales when requests *wait* (the `LatencySource`
-benchmark); CPU-bound chase/search/columnar work serializes.  This
-module moves plan execution into worker **processes** while keeping the
-service's externally observable behaviour bit-identical:
+CPython's GIL means the threads inside :class:`~repro.service.
+QueryService` only scale when requests *wait*; CPU-bound chase, search
+and columnar work serializes.  Both tiers here run every request
+through the one execution function,
+:func:`~repro.service.runtime.run_request`, so what a request returns
+does not depend on the tier:
 
-* **What crosses the boundary is data, never live objects.**  A
+* :class:`ThreadWorkerPool` calls it on a pool thread over the
+  service's own runtime.  Nothing is serialized, and every service knob
+  applies as given; the tier adds a watchdog and hedged dispatch.
+
+* :class:`ProcessWorkerPool` calls it inside worker **processes**.
+  What crosses the boundary is data, never live objects.  A
   :func:`source_to_spec` *source spec* (plain JSON-able dict: schema
   serialization, canonical instance dump, wrapper stack) is shipped
-  once per worker via the executor's initializer, so each worker
-  rehydrates its own source -- with its own per-method indexes -- once,
-  not per request.  Requests then ship only the plan IR
-  (:mod:`repro.plans.ir`), encoded bindings and a budget dict; answers
-  come back as sorted row lists (:func:`~repro.plans.ir.table_to_ir`)
-  plus an ``ExecStats.as_dict()`` payload the parent rebuilds and
-  merges.  No pickled closures, no live sources -- which is also what
-  makes the tier ``spawn``-safe (the default start method here).
+  once per worker via the executor's initializer, which builds the
+  worker's runtime: the rehydrated source (with its own per-method
+  indexes) and one breaker registry that lives as long as the worker.
+  Each request then ships its plan IR (:mod:`repro.plans.ir`), encoded
+  bindings, budget and retry dicts and the deadline's remaining
+  seconds; the answer comes back as sorted rows
+  (:func:`~repro.plans.ir.table_to_ir`), its markings, an
+  ``ExecStats.as_dict()`` payload and the error's type name.  No
+  pickled closures, no live sources -- which is also what makes the
+  tier ``spawn``-safe (the default start method here).
 
-* **What does NOT cross the boundary** -- the parent's
-  :class:`~repro.exec.cache.AccessCache`, circuit breakers and fault
-  wrapper attempt counters -- is per-process state in the workers.
-  That is still sound: caches and breakers are *monotone observations*
-  of a deterministic source (docs/theory.md, "Concurrent serving"), so
-  partitioning observations among processes can change efficiency,
-  never answers; the seeded fault schedule is keyed by
-  ``(seed, method, inputs)`` (not by call order), so a faulty access
-  fails the same way in any process.
+* **What does NOT cross the process boundary** -- an access cache, a
+  breaker registry, a sleep hook -- is rejected by the service at
+  construction with typed :class:`~repro.errors.UnsupportedOnTier`
+  rather than dropped.  Per-worker breakers, the workers' own source
+  wrapper counters and the absence of a shared cache are still sound:
+  caches and breakers are *monotone observations* of a deterministic
+  source (docs/theory.md, "Concurrent serving"), so partitioning
+  observations among processes can change efficiency, never answers;
+  the seeded fault schedule is keyed by ``(seed, method, inputs)``
+  (not by call order), so a faulty access fails the same way in any
+  process.
 
 * **Crashes are typed, not hung.**  A killed worker breaks the whole
   ``ProcessPoolExecutor``; :class:`ProcessWorkerPool` maps that to a
   typed :class:`~repro.errors.WorkerCrashed` for the affected request,
   recreates the pool, and counts the restart -- surfaced through
   ``QueryService.health()``.
-
-:class:`ThreadWorkerPool` keeps the old in-process behaviour behind the
-same interface (useful on small data, where serialization dominates,
-and as the degraded fallback when processes are unavailable).
 """
 
 from __future__ import annotations
@@ -53,8 +59,10 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
+from dataclasses import asdict, replace
+from functools import partial
 from multiprocessing import get_context
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import repro.errors as errors_module
 from repro.data.decorators import (
@@ -72,13 +80,8 @@ from repro.errors import (
     WorkerCrashed,
     WorkerStalled,
 )
-from repro.exec.batch import substitute_constants
 from repro.exec.budget import ResourceBudget
-from repro.exec.resilience import (
-    BreakerRegistry,
-    ResilientDispatcher,
-    RetryPolicy,
-)
+from repro.exec.resilience import RetryPolicy
 from repro.exec.stats import ExecStats
 from repro.faults.policy import FaultPolicy
 from repro.faults.source import FaultInjectingSource
@@ -96,9 +99,10 @@ from repro.sources.base import (
     AdaptiveConcurrencySource,
     CoalescingSource,
     PacedSource,
-    source_epoch,
 )
 from repro.sources.http import HTTPSource, StubTransport
+from repro.service.request import QueryRequest, QueryResponse
+from repro.service.runtime import Runtime, run_request
 from repro.sources.sqlite import SQLiteSource
 
 #: Format marker stamped into every source spec.
@@ -163,20 +167,9 @@ def source_to_spec(source) -> Dict[str, Any]:
     if isinstance(source, CoalescingSource):
         return {"wrap": "coalescing", "inner": source_to_spec(source.inner)}
     if isinstance(source, FaultInjectingSource):
-        policy = source.policy
         return {
             "wrap": "faults",
-            "policy": {
-                "seed": policy.seed,
-                "unavailable_rate": policy.unavailable_rate,
-                "timeout_rate": policy.timeout_rate,
-                "rate_limit_rate": policy.rate_limit_rate,
-                "truncation_rate": policy.truncation_rate,
-                "burst": policy.burst,
-                "truncation_keep": policy.truncation_keep,
-                "latency": policy.latency,
-                "outages": dict(policy.outages),
-            },
+            "policy": asdict(source.policy),
             "inner": source_to_spec(source.inner),
         }
     if isinstance(source, ShardedInMemorySource):
@@ -267,20 +260,8 @@ def spec_to_source(spec: Mapping[str, Any]):
     if wrap == "coalescing":
         return CoalescingSource(spec_to_source(spec["inner"]))
     if wrap == "faults":
-        policy = spec["policy"]
         return FaultInjectingSource(
-            spec_to_source(spec["inner"]),
-            FaultPolicy(
-                seed=policy["seed"],
-                unavailable_rate=policy["unavailable_rate"],
-                timeout_rate=policy["timeout_rate"],
-                rate_limit_rate=policy["rate_limit_rate"],
-                truncation_rate=policy["truncation_rate"],
-                burst=policy["burst"],
-                truncation_keep=policy["truncation_keep"],
-                latency=policy["latency"],
-                outages=dict(policy["outages"]),
-            ),
+            spec_to_source(spec["inner"]), FaultPolicy(**spec["policy"])
         )
     if spec.get("format") != SPEC_KIND or spec.get("version") != SPEC_VERSION:
         raise SourceSpecError(
@@ -320,19 +301,7 @@ def spec_to_source(spec: Mapping[str, Any]):
             page_size=config.get("page_size"),
             rate_limit=config.get("rate_limit"),
             burst=config.get("burst"),
-            fault_policy=None
-            if policy is None
-            else FaultPolicy(
-                seed=policy["seed"],
-                unavailable_rate=policy["unavailable_rate"],
-                timeout_rate=policy["timeout_rate"],
-                rate_limit_rate=policy["rate_limit_rate"],
-                truncation_rate=policy["truncation_rate"],
-                burst=policy["burst"],
-                truncation_keep=policy["truncation_keep"],
-                latency=policy["latency"],
-                outages=dict(policy["outages"]),
-            ),
+            fault_policy=None if policy is None else FaultPolicy(**policy),
         )
         return HTTPSource(
             transport,
@@ -342,8 +311,14 @@ def spec_to_source(spec: Mapping[str, Any]):
     raise SourceSpecError(f"unknown source spec kind {spec['kind']!r}")
 
 
-# ----------------------------------------------------------- request payload
-def encode_bindings(
+# ------------------------------------------------- process-tier wire format
+# What crosses the process boundary for one request: the plan IR, term-IR
+# bindings, the budget and retry dicts, and the deadline's remaining
+# seconds; the answer comes back as sorted rows, markings, a stats dict
+# and the error's type name.  Exception and plan *instances* never cross.
+
+
+def _encode_bindings(
     bindings: Optional[Mapping[object, object]]
 ) -> Optional[List[List[Dict[str, Any]]]]:
     """Encode a constant-substitution mapping as term-IR pairs."""
@@ -355,10 +330,10 @@ def encode_bindings(
     ]
 
 
-def decode_bindings(
+def _decode_bindings(
     encoded: Optional[List[List[Dict[str, Any]]]]
 ) -> Optional[Dict[Constant, Constant]]:
-    """Inverse of :func:`encode_bindings`."""
+    """Inverse of :func:`_encode_bindings`."""
     if not encoded:
         return None
     return {
@@ -366,60 +341,20 @@ def decode_bindings(
     }
 
 
-def _budget_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[ResourceBudget]:
-    if data is None:
-        return None
-    return ResourceBudget(
-        max_result_rows=data.get("max_result_rows"),
-        max_resident_rows=data.get("max_resident_rows"),
-        max_accesses=data.get("max_accesses"),
-        max_cost=data.get("max_cost"),
-        on_result_overflow=data.get("on_result_overflow", "truncate"),
-    )
-
-
-def _retry_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[RetryPolicy]:
-    if data is None:
-        return None
-    return RetryPolicy(
-        max_attempts=int(data.get("max_attempts", 4)),
-        base_delay=float(data.get("base_delay", 0.05)),
-        multiplier=float(data.get("multiplier", 2.0)),
-        max_delay=float(data.get("max_delay", 2.0)),
-        jitter=float(data.get("jitter", 0.1)),
-    )
-
-
-def retry_to_dict(retry: Optional[RetryPolicy]) -> Optional[Dict[str, Any]]:
-    """Encode a retry policy for the request payload."""
-    if retry is None:
-        return None
-    return {
-        "max_attempts": retry.max_attempts,
-        "base_delay": retry.base_delay,
-        "multiplier": retry.multiplier,
-        "max_delay": retry.max_delay,
-        "jitter": retry.jitter,
-    }
-
-
-# Encoded-plan memo: hedged process-tier dispatch ships the full plan IR
-# per duplicate, and a hot plan (plan-cache hit) is re-encoded for every
-# request.  Keyed weakly by the (frozen, hashable) Plan object so the
-# memo lives exactly as long as the plan-cache entry that keeps the plan
-# alive; encoding happens at most once per plan object.
+# Encoded-plan memo: a hot plan (plan-cache hit) would otherwise be
+# re-encoded for every request and every hedge duplicate.  Keyed weakly
+# by the (frozen, hashable) Plan object so the memo lives exactly as
+# long as the plan-cache entry that keeps the plan alive.
 _ENCODED_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _ENCODED_PLANS_LOCK = threading.Lock()
 
 
-def encoded_plan_ir(plan) -> Dict[str, Any]:
+def _encoded_plan_ir(plan) -> Dict[str, Any]:
     """``plan_to_ir(plan)``, memoized per plan object.
 
-    The dispatch-path encoder: every pool payload (and every hedge
-    duplicate of it) shares one encoded IR dict per plan.  Sound
-    because plans are immutable and :func:`~repro.plans.ir.ir_to_plan`
-    never mutates its input.  Unhashable/unweakreferenceable plans fall
-    back to plain encoding.
+    Sound because plans are immutable and :func:`~repro.plans.ir.
+    ir_to_plan` never mutates its input.  Unhashable or
+    unweakreferenceable plans fall back to plain encoding.
     """
     try:
         with _ENCODED_PLANS_LOCK:
@@ -437,78 +372,66 @@ def encoded_plan_ir(plan) -> Dict[str, Any]:
     return encoded
 
 
-def execute_payload(
-    source, payload: Mapping[str, Any], cancel=None
-) -> Dict[str, Any]:
-    """Run one shipped request against a source; return a plain dict.
+def _encode_request(request: QueryRequest, runtime: Runtime) -> Dict[str, Any]:
+    """One request plus the service's retry/executor settings, as data.
 
-    This is the single execution path both pool flavours share: the
-    process tier calls it in the worker against the rehydrated source,
-    the thread tier calls it in-process against the shared source.
-    Errors come back as ``{"ok": False, "error_type", "error"}`` so the
-    parent can re-raise the matching typed :mod:`repro.errors` class --
-    exception *instances* never cross the boundary.
-
-    ``cancel`` (thread tier only) is a :class:`threading.Event` the
-    interpreter polls between commands: a hedge duplicate whose twin
-    already won stops cooperatively instead of running to completion.
-    A successful result carries the source's epoch token (``"epoch"``)
-    so callers can tell which backend snapshot answered.
+    The deadline travels as the seconds left *now*, so the worker's
+    dispatcher stops retry backoff where the parent would.  It is
+    floored at a microsecond: an already-expired deadline still reaches
+    the worker as one, and fails there typed at the first access.
     """
-    try:
-        plan = ir_to_plan(payload["plan"])
-        bindings = decode_bindings(payload.get("bindings"))
-        if bindings:
-            plan = substitute_constants(plan, bindings)
-        budget = _budget_from_dict(payload.get("budget"))
-        run_source = source
-        if budget is not None and (
-            budget.max_accesses is not None or budget.max_cost is not None
-        ):
-            from repro.data.decorators import BudgetedSource
+    deadline = request.deadline(runtime.clock)
+    return {
+        "request_id": request.request_id,
+        "plan": _encoded_plan_ir(request.plan),
+        "bindings": _encode_bindings(request.bindings),
+        "budget": request.budget.as_dict() if request.budget else None,
+        "deadline": None if deadline is None else max(deadline.remaining(), 1e-6),
+        "retry": runtime.retry.as_dict() if runtime.retry else None,
+        "executor": runtime.executor,
+        "collect_stats": runtime.collect_stats,
+    }
 
-            run_source = BudgetedSource(
-                source,
-                max_invocations=budget.max_accesses,
-                max_cost=budget.max_cost,
-            )
-        stats = ExecStats() if payload.get("collect_stats") else None
-        dispatcher = ResilientDispatcher(
-            retry=_retry_from_dict(payload.get("retry")),
-            breakers=BreakerRegistry(),
-        )
-        table = plan.execute(
-            run_source,
-            stats=stats,
-            resilience=dispatcher,
-            budget=budget,
-            executor=payload.get("executor", "interpreter"),
-            cancel=cancel,
-        )
-        return {
-            "ok": True,
-            "table": table_to_ir(table),
-            "truncated": budget.truncated_rows if budget is not None else 0,
-            "stats": stats.as_dict() if stats is not None else None,
-            "epoch": source_epoch(source),
-        }
-    except ReproError as error:
-        failure = {
-            "ok": False,
-            "error_type": type(error).__name__,
-            "error": str(error),
-        }
+
+def _encode_response(response: QueryResponse) -> Dict[str, Any]:
+    """A worker's response as plain data (see :func:`_decode_response`)."""
+    encoded: Dict[str, Any] = {
+        "table": None if response.table is None else table_to_ir(response.table),
+        "complete": response.complete,
+        "partial": response.partial,
+        "truncated_rows": response.truncated_rows,
+        "stats": None if response.stats is None else response.stats.as_dict(),
+    }
+    error = response.error
+    if error is not None:
+        encoded["error_type"] = type(error).__name__
+        encoded["error"] = str(error)
         # Access-layer context crosses the boundary too: the service's
         # method-health registry needs to know *which* method died, and
         # a string message is not a protocol.
         for attribute in ("method", "relation"):
             value = getattr(error, attribute, None)
             if isinstance(value, str):
-                failure[attribute] = value
-        return failure
+                encoded[attribute] = value
+    return encoded
 
 
-def rebuild_error(result: Mapping[str, Any]) -> ReproError:
+def _decode_response(request_id: str, result: Mapping[str, Any]) -> QueryResponse:
+    """Rebuild the :class:`QueryResponse` a worker encoded."""
+    table = result.get("table")
+    stats = result.get("stats")
+    return QueryResponse(
+        request_id,
+        table=None if table is None else table_from_ir(table),
+        complete=bool(result.get("complete")),
+        partial=bool(result.get("partial")),
+        truncated_rows=int(result.get("truncated_rows", 0)),
+        stats=None if stats is None else ExecStats.from_dict(stats),
+        error=_rebuild_error(result) if "error_type" in result else None,
+    )
+
+
+def _rebuild_error(result: Mapping[str, Any]) -> ReproError:
     """Rebuild the typed error a worker reported for one request.
 
     Access errors are rebuilt *with* their method/relation context when
@@ -536,25 +459,35 @@ def rebuild_error(result: Mapping[str, Any]) -> ReproError:
 
 
 # ------------------------------------------------------- worker process side
-#: The once-per-worker rehydrated source (set by the pool initializer).
-_WORKER_SOURCE = None
+#: The worker's runtime: its rehydrated source and one breaker registry
+#: that lives as long as the worker (set once by the pool initializer).
+_WORKER_RUNTIME: Optional[Runtime] = None
 
 
 def _init_worker(spec: Mapping[str, Any]) -> None:
-    """Executor initializer: rehydrate the source once per process."""
-    global _WORKER_SOURCE
-    _WORKER_SOURCE = spec_to_source(spec)
+    """Executor initializer: build the worker's runtime once per process."""
+    global _WORKER_RUNTIME
+    _WORKER_RUNTIME = Runtime(spec_to_source(spec))
 
 
-def _run_payload_task(payload: Mapping[str, Any]) -> Dict[str, Any]:
+def _run_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """The task the parent submits; referenced by name, so spawn-safe."""
-    if _WORKER_SOURCE is None:
-        return {
-            "ok": False,
-            "error_type": "ExecutionError",
-            "error": "worker process was never initialized with a source spec",
-        }
-    return execute_payload(_WORKER_SOURCE, payload)
+    retry, budget = payload["retry"], payload["budget"]
+    runtime = replace(
+        _WORKER_RUNTIME,
+        retry=RetryPolicy.from_dict(retry) if retry else None,
+        executor=payload["executor"],
+        collect_stats=payload["collect_stats"],
+    )
+    request = QueryRequest(
+        plan=ir_to_plan(payload["plan"]),
+        bindings=_decode_bindings(payload["bindings"]),
+        deadline_seconds=payload["deadline"],
+        budget=ResourceBudget.from_dict(budget) if budget else None,
+        request_id=payload["request_id"],
+        submitted_at=runtime.clock(),
+    )
+    return _encode_response(run_request(request, runtime))
 
 
 # -------------------------------------------------------- latency tracking
@@ -636,10 +569,10 @@ class LatencyTracker:
 class WorkerPool:
     """The execution-tier interface ``QueryService`` dispatches through.
 
-    One blocking call per request: :meth:`run_request` takes the plain
-    payload dict and returns the plain result dict of
-    :func:`execute_payload` (raising typed errors only for tier-level
-    failures: crash, stall, timeout).  ``start``/``shutdown`` bracket
+    One blocking call per request: :meth:`run` executes the request via
+    :func:`~repro.service.runtime.run_request` and returns its
+    :class:`QueryResponse`, raising typed errors only for tier-level
+    failures (crash, stall, timeout).  ``start``/``shutdown`` bracket
     the tier's lifetime; :meth:`health` is a JSON-able liveness
     snapshot.
 
@@ -660,22 +593,34 @@ class WorkerPool:
     """
 
     kind = "none"
+    #: Whether requests run over the service's own runtime, so the live
+    #: objects in it (access cache, breakers, sleep hook) apply as given.
+    shares_runtime = True
 
-    def _init_resilience(
+    def __init__(
         self,
-        watchdog_seconds: Optional[float],
-        hedge: bool,
-        hedge_delay: Optional[float],
+        workers: int = 8,
+        watchdog_seconds: Optional[float] = None,
+        hedge: bool = False,
+        hedge_delay: Optional[float] = None,
     ) -> None:
-        """Shared constructor plumbing for watchdog + hedging state."""
+        if workers < 1:
+            raise ValueError("worker count must be positive")
         if watchdog_seconds is not None and watchdog_seconds <= 0:
             raise ValueError("watchdog_seconds must be positive")
         if hedge_delay is not None and hedge_delay <= 0:
             raise ValueError("hedge_delay must be positive")
+        self.workers = workers
         self.watchdog_seconds = watchdog_seconds
         self.hedge = hedge
         self._hedge_delay = hedge_delay
         self.latency = LatencyTracker()
+        self._lock = threading.Lock()
+        self._executor = None
+        self._started = False
+        self.tasks = 0
+        self.crashes = 0
+        self.restarts = 0
         self.stalls = 0
         self.watchdog_kills = 0
         self.hedges = 0
@@ -695,31 +640,105 @@ class WorkerPool:
         with self._lock:
             return self._pending
 
-    def _resilience_health(self) -> Dict[str, Any]:
-        """The watchdog/hedging slice of ``health()``; caller holds lock."""
-        return {
-            "pending": self._pending,
-            "watchdog_seconds": self.watchdog_seconds,
-            "stalls": self.stalls,
-            "watchdog_kills": self.watchdog_kills,
-            "hedge": self.hedge,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "hedge_waste": self.hedge_waste,
-            "hedge_cancelled": self.hedge_cancelled,
-            "latency": self.latency.as_dict(),
-        }
+    def start(self) -> "WorkerPool":
+        """Bring the tier up; returns ``self`` for ``with``-chaining."""
+        with self._lock:
+            self._started = True
+            self._ensure_executor()
+        return self
+
+    def _ensure_executor(self) -> None:
+        """Create (or recreate) the executor; caller holds the lock."""
+        if self._executor is None:
+            self._executor = self._new_executor()
+
+    def _new_executor(self):  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def shutdown(self) -> None:
+        """Stop the executor and mark the tier not-started; idempotent."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self._started = False
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def alive(self) -> bool:
+        """Whether the tier can currently take requests."""
+        with self._lock:
+            return self._started and self._executor is not None
+
+    def run(
+        self,
+        request: QueryRequest,
+        runtime: Runtime,
+        timeout: Optional[float] = None,
+    ) -> QueryResponse:
+        """Execute one request on the tier and return its response.
+
+        Raises typed :class:`~repro.errors.WorkerCrashed` when the tier
+        is not running or a worker died on the request (the process
+        tier then recreates its pool), :class:`~repro.errors.
+        WorkerStalled` when the watchdog bound passes first, and
+        :class:`~repro.errors.DeadlineExceeded` when ``timeout`` does.
+        With ``hedge`` enabled the request is duplicated after the
+        hedge delay and the first response wins.
+        """
+        with self._lock:
+            if not self._started or self._executor is None:
+                raise WorkerCrashed(
+                    f"{self.kind} worker pool is not running",
+                    restarts=self.restarts,
+                )
+            executor = self._executor
+            self.tasks += 1
+            self._pending += 1
+        effective = timeout
+        if self.watchdog_seconds is not None:
+            effective = (
+                self.watchdog_seconds
+                if timeout is None
+                else min(timeout, self.watchdog_seconds)
+            )
+        started = time.monotonic()
+        future: Optional[Future] = None
+        submit = partial(self._submit, executor, request, runtime)
+        try:
+            future = submit()
+            result = self._wait_hedged(future, submit, effective)
+            self.latency.observe(time.monotonic() - started)
+            return self._response(request, result)
+        except FutureTimeoutError:
+            raise self._timeout_error(executor, future, timeout) from None
+        except BrokenExecutor as broken:
+            raise WorkerCrashed(
+                f"worker process died executing this request: {broken}",
+                restarts=self._recreate(executor),
+            ) from broken
+        finally:
+            with self._lock:
+                self._pending -= 1
+
+    def _submit(
+        self, executor, request: QueryRequest, runtime: Runtime
+    ) -> Future:  # pragma: no cover - overridden
+        """Submit one copy of the request to the executor."""
+        raise NotImplementedError
+
+    def _response(self, request: QueryRequest, result) -> QueryResponse:
+        """The response a finished copy's future holds."""
+        return result
 
     def _wait_hedged(
         self,
         primary: Future,
         submit: Callable[[], Future],
         timeout: Optional[float],
-    ) -> Dict[str, Any]:
+    ):
         """Await a request future, duplicating it after the hedge delay.
 
-        Returns the winner's result dict; raises ``FutureTimeoutError``
-        when neither copy answered within ``timeout`` (both copies are
+        Returns the winner's result; raises ``FutureTimeoutError`` when
+        neither copy answered within ``timeout`` (the duplicate is
         cancelled best-effort first) and whatever the winner raised
         otherwise.  Counter protocol: ``hedges`` counts duplicates
         issued, ``hedge_wins`` duplicates that answered first,
@@ -770,23 +789,86 @@ class WorkerPool:
         """
         future.cancel()
 
-    def start(self) -> "WorkerPool":
-        """Bring the tier up; returns ``self`` for ``with``-chaining."""
-        return self
+    def _timeout_error(
+        self, executor, future: Optional[Future], timeout: Optional[float]
+    ) -> ReproError:
+        """Map one request timeout to its typed error (watchdog-aware).
 
-    def shutdown(self) -> None:  # pragma: no cover - trivial default
-        """Tear the tier down; idempotent."""
-        pass
+        A copy that never started is dequeued; a running one is handed
+        to :meth:`_reclaim`.  When the request's own deadline expired
+        first the error is :class:`DeadlineExceeded`, otherwise the
+        watchdog fired and it is :class:`WorkerStalled`.
+        """
+        watchdog_fired = self.watchdog_seconds is not None and (
+            timeout is None or self.watchdog_seconds < timeout
+        )
+        cancelled = future.cancel() if future is not None else True
+        killed = not cancelled and self._reclaim(executor, future)
+        if not watchdog_fired:
+            return DeadlineExceeded(
+                f"worker did not answer within {timeout:.3f}s"
+            )
+        with self._lock:
+            self.stalls += 1
+            stalls = self.stalls
+        if cancelled:
+            detail = "never started: all workers busy"
+        elif killed:
+            detail = "pool killed and recreated"
+        else:
+            detail = "worker thread leaked until its task finishes"
+        return WorkerStalled(
+            f"request made no progress within the {self.watchdog_seconds}s "
+            f"watchdog bound ({detail})",
+            stalls=stalls,
+            killed=killed,
+        )
 
-    def run_request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Execute one request payload and return its result dict."""
-        raise NotImplementedError
+    def _reclaim(self, executor, future: Future) -> bool:
+        """Free a timed-out running copy's slot; True if workers were killed."""
+        return False
+
+    def _recreate(self, broken) -> int:
+        """Replace a broken executor with a fresh one; returns restarts."""
+        with self._lock:
+            self.crashes += 1
+            if self._executor is broken:
+                self._executor = None
+                if self._started:
+                    self.restarts += 1
+                    self._ensure_executor()
+            restarts = self.restarts
+        broken.shutdown(wait=False, cancel_futures=True)
+        return restarts
 
     def health(self) -> Dict[str, Any]:
         """A JSON-able liveness/counters snapshot of the tier."""
-        return {"tier": self.kind, "alive": True}
+        with self._lock:
+            return {
+                "tier": self.kind,
+                "alive": self._started and self._executor is not None,
+                "workers": self.workers,
+                "tasks": self.tasks,
+                "crashes": self.crashes,
+                "restarts": self.restarts,
+                "pending": self._pending,
+                "watchdog_seconds": self.watchdog_seconds,
+                "stalls": self.stalls,
+                "watchdog_kills": self.watchdog_kills,
+                "hedge": self.hedge,
+                "hedges": self.hedges,
+                "hedge_wins": self.hedge_wins,
+                "hedge_waste": self.hedge_waste,
+                "hedge_cancelled": self.hedge_cancelled,
+                "latency": self.latency.as_dict(),
+            }
+
+    def __repr__(self) -> str:
+        state = "alive" if self.alive() else "stopped"
+        return (
+            f"{type(self).__name__}({self.workers} workers, {state}, "
+            f"{self.tasks} tasks, {self.crashes} crashes)"
+        )
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -798,6 +880,14 @@ class WorkerPool:
 class ProcessWorkerPool(WorkerPool):
     """Plan execution on a ``ProcessPoolExecutor`` over a source spec.
 
+    Each worker builds its runtime once, in the executor's initializer:
+    the source rehydrated from the spec and one breaker registry that
+    lives as long as the worker.  Requests then cross the boundary as
+    data (see :func:`_encode_request`).  The service's access cache,
+    breaker registry and sleep hook are live objects that cannot cross,
+    so :class:`~repro.service.QueryService` rejects them for this tier
+    (``shares_runtime`` is False).
+
     ``start_method`` defaults to ``"spawn"``: slowest to start but
     immune to fork-time lock/thread hazards, and it proves the spec
     path carries *everything* a worker needs (fork can silently lean on
@@ -806,10 +896,14 @@ class ProcessWorkerPool(WorkerPool):
     A broken pool (a worker killed mid-request) fails the affected
     request with :class:`~repro.errors.WorkerCrashed` and the pool is
     recreated immediately, so the next request is served by fresh
-    workers -- liveness is reported via :meth:`health`.
+    workers -- liveness is reported via :meth:`health`.  A watchdog
+    stall kills and recreates the pool to reclaim the slot (collateral
+    in-flight requests on the killed pool surface as
+    :class:`WorkerCrashed`, typed, never hung).
     """
 
     kind = "process"
+    shares_runtime = False
 
     def __init__(
         self,
@@ -820,18 +914,9 @@ class ProcessWorkerPool(WorkerPool):
         hedge: bool = False,
         hedge_delay: Optional[float] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
+        super().__init__(workers, watchdog_seconds, hedge, hedge_delay)
         self.source_spec = dict(source_spec)
-        self.workers = workers
         self.start_method = start_method
-        self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._started = False
-        self.tasks = 0
-        self.crashes = 0
-        self.restarts = 0
-        self._init_resilience(watchdog_seconds, hedge, hedge_delay)
 
     @classmethod
     def for_source(
@@ -845,394 +930,111 @@ class ProcessWorkerPool(WorkerPool):
             **kwargs,
         )
 
-    def start(self) -> "ProcessWorkerPool":
-        """Spin up the process executor (workers rehydrate the spec)."""
-        with self._lock:
-            self._started = True
-            self._ensure_executor()
-        return self
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        """Create (or recreate) the executor; caller holds the lock."""
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=get_context(self.start_method),
-                initializer=_init_worker,
-                initargs=(self.source_spec,),
-            )
-        return self._executor
-
-    def shutdown(self) -> None:
-        """Stop the executor and mark the tier not-started."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._started = False
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def run_request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Ship one payload to a worker process and await its result.
-
-        A broken pool (killed worker) raises typed :class:`WorkerCrashed`
-        and recreates the executor so the next request can succeed.
-        With a watchdog configured, a request that exceeds its stall
-        bound while its worker is alive-but-stuck raises typed
-        :class:`~repro.errors.WorkerStalled` and the pool is killed and
-        recreated -- the slot is reclaimed instead of blocked forever
-        (collateral in-flight requests on the killed pool surface as
-        :class:`WorkerCrashed`, typed, never hung).  With ``hedge``
-        enabled the request is duplicated to a second worker after the
-        adaptive hedge delay and the first result wins.
-        """
-        with self._lock:
-            if not self._started:
-                raise WorkerCrashed(
-                    "process worker pool is not running",
-                    restarts=self.restarts,
-                )
-            executor = self._ensure_executor()
-            self.tasks += 1
-            self._pending += 1
-        effective = timeout
-        if self.watchdog_seconds is not None:
-            effective = (
-                self.watchdog_seconds
-                if timeout is None
-                else min(timeout, self.watchdog_seconds)
-            )
-        started = time.monotonic()
-        future: Optional[Future] = None
-        try:
-            future = executor.submit(_run_payload_task, dict(payload))
-            submit = lambda: executor.submit(_run_payload_task, dict(payload))
-            result = self._wait_hedged(future, submit, effective)
-            self.latency.observe(time.monotonic() - started)
-            return result
-        except FutureTimeoutError:
-            raise self._timeout_error(
-                executor, future, timeout, effective
-            ) from None
-        except BrokenExecutor as broken:
-            restarts = self._recreate(executor)
-            raise WorkerCrashed(
-                f"worker process died executing this request: {broken}",
-                restarts=restarts,
-            ) from broken
-        finally:
-            with self._lock:
-                self._pending -= 1
-
-    def _timeout_error(
-        self,
-        executor: ProcessPoolExecutor,
-        future: Optional[Future],
-        timeout: Optional[float],
-        effective: Optional[float],
-    ) -> ReproError:
-        """Map one request timeout to its typed error (watchdog-aware)."""
-        watchdog_fired = self.watchdog_seconds is not None and (
-            timeout is None or self.watchdog_seconds < timeout
-        )
-        cancelled = future.cancel() if future is not None else True
-        if not watchdog_fired:
-            # The request's own deadline expired first.  Without a
-            # watchdog the stuck future is merely abandoned (its slot
-            # stays blocked until the task finishes -- the pre-watchdog
-            # behaviour); with one, a running worker is killed so the
-            # slot comes back.
-            if not cancelled and self.watchdog_seconds is not None:
-                self._watchdog_recycle(executor)
-            return DeadlineExceeded(
-                f"worker did not answer within {timeout:.3f}s"
-            )
-        with self._lock:
-            self.stalls += 1
-            stalls = self.stalls
-        if cancelled:
-            # Never started: the whole tier is busy (likely stuck
-            # behind other stalled requests).  The slot was reclaimed
-            # by the cancel, so no kill is needed.
-            return WorkerStalled(
-                f"request waited {effective:.3f}s unstarted in the worker "
-                f"tier (watchdog bound {self.watchdog_seconds}s): all "
-                f"workers busy",
-                stalls=stalls,
-                killed=False,
-            )
-        self._watchdog_recycle(executor)
-        return WorkerStalled(
-            f"worker made no progress within the {self.watchdog_seconds}s "
-            "watchdog bound; pool killed and recreated",
-            stalls=stalls,
-            killed=True,
+    def _new_executor(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=get_context(self.start_method),
+            initializer=_init_worker,
+            initargs=(self.source_spec,),
         )
 
-    def _watchdog_recycle(self, stuck: ProcessPoolExecutor) -> None:
+    def _submit(self, executor, request, runtime) -> Future:
+        return executor.submit(_run_payload, _encode_request(request, runtime))
+
+    def _response(self, request, result) -> QueryResponse:
+        return _decode_response(request.request_id, result)
+
+    def _reclaim(self, executor, future) -> bool:
         """Kill a stuck executor's workers and install a fresh pool.
 
         ``Future.cancel`` cannot stop a *running* task, so reclaiming
-        the slot means killing the worker processes.  Requests in
-        flight on the killed pool fail with typed
-        :class:`WorkerCrashed` via the normal broken-pool path --
-        collateral, but never a hang and never a wrong answer.
+        the slot means killing the worker processes.  Without a
+        watchdog the stuck task is merely abandoned: its slot stays
+        blocked until it finishes.
         """
+        if self.watchdog_seconds is None:
+            return False
         with self._lock:
             self.watchdog_kills += 1
-            if self._executor is stuck:
+            if self._executor is executor:
                 self._executor = None
                 if self._started:
                     self.restarts += 1
                     self._ensure_executor()
-        processes = getattr(stuck, "_processes", None) or {}
+        processes = getattr(executor, "_processes", None) or {}
         for process in list(processes.values()):
             try:
                 process.kill()
             except Exception:  # pragma: no cover -- already dead
                 pass
-        stuck.shutdown(wait=False, cancel_futures=True)
-
-    def _recreate(self, broken: ProcessPoolExecutor) -> int:
-        """Replace a broken executor with a fresh one; returns restarts."""
-        with self._lock:
-            self.crashes += 1
-            if self._executor is broken:
-                self._executor = None
-                if self._started:
-                    self.restarts += 1
-                    self._ensure_executor()
-            restarts = self.restarts
-        broken.shutdown(wait=False, cancel_futures=True)
-        return restarts
-
-    def alive(self) -> bool:
-        """Whether the tier can currently take requests."""
-        with self._lock:
-            return self._started and self._executor is not None
+        executor.shutdown(wait=False, cancel_futures=True)
+        return True
 
     def health(self) -> Dict[str, Any]:
         """A JSON-able liveness/counters snapshot of the tier."""
-        with self._lock:
-            snapshot = {
-                "tier": self.kind,
-                "alive": self._started and self._executor is not None,
-                "workers": self.workers,
-                "start_method": self.start_method,
-                "tasks": self.tasks,
-                "crashes": self.crashes,
-                "restarts": self.restarts,
-            }
-            snapshot.update(self._resilience_health())
-            return snapshot
-
-    def __repr__(self) -> str:
-        state = "alive" if self.alive() else "stopped"
-        return (
-            f"ProcessWorkerPool({self.workers} x {self.start_method}, "
-            f"{state}, {self.tasks} tasks, {self.crashes} crashes)"
-        )
+        snapshot = super().health()
+        snapshot["start_method"] = self.start_method
+        return snapshot
 
 
 class ThreadWorkerPool(WorkerPool):
-    """The same payload protocol, executed in-process over a shared source.
+    """The execution tier on a thread pool, over the service's runtime.
 
-    The fallback tier: no serialization, no processes, no GIL escape.
-    Useful on small data (where shipping rows costs more than computing
-    them) and in environments where spawning processes is not allowed.
-    Answers are byte-identical to the process tier by construction --
-    both run :func:`execute_payload`.
+    Each request runs :func:`~repro.service.runtime.run_request` on a
+    pool thread over the very runtime the service would use in-process
+    -- no serialization, so the service's access cache, breakers and
+    sleep hook are honoured by construction, and a hedge duplicate
+    shares the cache's single-flight with its primary.  What the tier
+    adds is its resilience: the watchdog and hedged dispatch.
+
+    The watchdog surfaces a stuck request as typed
+    :class:`~repro.errors.WorkerStalled` -- but unlike the process tier
+    it cannot reclaim the slot: Python threads cannot be killed, so the
+    stalled thread is asked to stop at its next between-commands check
+    and otherwise leaks until its task finishes (counted in ``stalls``).
     """
 
     kind = "thread"
 
-    def __init__(
-        self,
-        source,
-        workers: int = 8,
-        watchdog_seconds: Optional[float] = None,
-        hedge: bool = False,
-        hedge_delay: Optional[float] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
-        self.source = source
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._started = False
-        self.tasks = 0
-        # future -> its cooperative cancellation token.  Weak keys: an
-        # entry lives exactly as long as something still holds the
-        # future (the executor while running, the caller while waiting).
-        self._cancel_tokens: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
+    def _new_executor(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="exec-tier"
         )
-        self._init_resilience(watchdog_seconds, hedge, hedge_delay)
 
-    def start(self) -> "ThreadWorkerPool":
-        """Spin up the thread executor over the shared live source."""
-        with self._lock:
-            self._started = True
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="exec-tier",
-                )
-        return self
+    def _submit(self, executor, request, runtime) -> Future:
+        """Submit one copy of the request with its own cancel token.
 
-    def shutdown(self) -> None:
-        """Stop the executor and mark the tier not-started."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._started = False
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def run_request(
-        self, payload: Mapping[str, Any], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Execute one payload on a pool thread against the live source.
-
-        The watchdog surfaces a stuck request as typed
-        :class:`~repro.errors.WorkerStalled` -- but unlike the process
-        tier it cannot reclaim the slot: Python threads cannot be
-        killed, so the stalled thread leaks until its task finishes
-        (counted in ``stalls``; documented, not hidden).  Hedging works
-        as on the process tier.
+        The token is set when the copy loses a hedge race or times out
+        while already running, so it stops at its next between-commands
+        check instead of finishing.
         """
-        with self._lock:
-            if not self._started or self._executor is None:
-                raise WorkerCrashed("thread worker pool is not running")
-            executor = self._executor
-            self.tasks += 1
-            self._pending += 1
-        effective = timeout
-        if self.watchdog_seconds is not None:
-            effective = (
-                self.watchdog_seconds
-                if timeout is None
-                else min(timeout, self.watchdog_seconds)
-            )
-        started = time.monotonic()
-        future: Optional[Future] = None
+        token = threading.Event()
+        submitted = executor.submit(run_request, request, runtime, cancel=token)
+        submitted.cancel_token = token
+        return submitted
 
-        def submit() -> Future:
-            """Submit one copy of the request with its own cancel token.
+    @staticmethod
+    def _flag_down(future: Future) -> bool:
+        """Set a running copy's cancel token; True if it was newly set."""
+        if future.cancel_token.is_set():
+            return False
+        future.cancel_token.set()
+        return True
 
-            ``_cancel_loser`` sets the token when the copy loses a
-            hedge race while already running, so the duplicate stops at
-            its next between-commands check instead of finishing.
-            """
-            token = threading.Event()
-            submitted = executor.submit(
-                execute_payload, self.source, payload, cancel=token
-            )
-            with self._lock:
-                self._cancel_tokens[submitted] = token
-            return submitted
-
-        try:
-            future = submit()
-            result = self._wait_hedged(future, submit, effective)
-            self.latency.observe(time.monotonic() - started)
-            return result
-        except FutureTimeoutError:
-            watchdog_fired = self.watchdog_seconds is not None and (
-                timeout is None or self.watchdog_seconds < timeout
-            )
-            cancelled = future.cancel() if future is not None else True
-            if future is not None and not cancelled:
-                # Already running: ask it to stop between commands so
-                # the leaked thread frees its slot early (best-effort;
-                # not counted as a hedge cancellation).
-                with self._lock:
-                    token = self._cancel_tokens.get(future)
-                if token is not None:
-                    token.set()
-            if not watchdog_fired:
-                raise DeadlineExceeded(
-                    f"worker did not answer within {timeout:.3f}s"
-                ) from None
-            with self._lock:
-                self.stalls += 1
-                stalls = self.stalls
-            detail = (
-                "all workers busy"
-                if cancelled
-                else "worker thread leaked until its task finishes"
-            )
-            raise WorkerStalled(
-                f"request made no progress within the "
-                f"{self.watchdog_seconds}s watchdog bound ({detail})",
-                stalls=stalls,
-                killed=False,
-            ) from None
-        finally:
-            with self._lock:
-                self._pending -= 1
+    def _reclaim(self, executor, future) -> bool:
+        self._flag_down(future)
+        return False
 
     def _cancel_loser(self, future: Future) -> None:
         """Reclaim a hedge loser's slot: dequeue it, or flag it down.
 
-        A loser still queued is plainly cancelled.  A loser already
-        *running* cannot be killed (Python threads), but its
-        cancellation token is set, so it raises
+        A loser already *running* cannot be killed (Python threads), but
+        its cancellation token is set, so it raises
         :class:`~repro.errors.PlanCancelled` at its next
         between-commands check and frees its slot early -- counted in
         ``hedge_cancelled`` (the result is never read: the winner
         already answered).
         """
-        if future.cancel():
-            return
-        with self._lock:
-            token = self._cancel_tokens.get(future)
-            if token is not None and not token.is_set():
-                token.set()
+        if not future.cancel() and self._flag_down(future):
+            with self._lock:
                 self.hedge_cancelled += 1
-
-    def alive(self) -> bool:
-        """Whether the tier can currently take requests."""
-        with self._lock:
-            return self._started and self._executor is not None
-
-    def health(self) -> Dict[str, Any]:
-        """A JSON-able liveness/counters snapshot of the tier."""
-        with self._lock:
-            snapshot = {
-                "tier": self.kind,
-                "alive": self._started and self._executor is not None,
-                "workers": self.workers,
-                "tasks": self.tasks,
-                "crashes": 0,
-                "restarts": 0,
-            }
-            snapshot.update(self._resilience_health())
-            return snapshot
-
-    def __repr__(self) -> str:
-        state = "alive" if self.alive() else "stopped"
-        return f"ThreadWorkerPool({self.workers} threads, {state})"
-
-
-def merge_answer_tables(results: List[Mapping[str, Any]]):
-    """Union several workers' shipped answers into one table.
-
-    Set semantics are restored at this merge point: each worker ships
-    its rows sorted, the union dedups, and the caller re-sorts for
-    rendering -- deterministic regardless of completion order.  All
-    parts must agree on attributes (they ran the same plan).
-    """
-    if not results:
-        raise ValueError("nothing to merge")
-    tables = [table_from_ir(r["table"]) for r in results]
-    first = tables[0]
-    for other in tables[1:]:
-        if other.attributes != first.attributes:
-            raise ValueError(
-                f"cannot merge answers with attributes {other.attributes} "
-                f"vs {first.attributes}"
-            )
-    rows = frozenset().union(*(t.rows for t in tables))
-    return type(first)(first.attributes, rows)

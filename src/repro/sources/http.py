@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import asdict
 from typing import (
     Any,
     Callable,
@@ -147,19 +148,7 @@ class StubTransport:
             "page_size": self.page_size,
             "rate_limit": self.rate_limit,
             "burst": self.burst,
-            "fault_policy": None
-            if policy is None
-            else {
-                "seed": policy.seed,
-                "unavailable_rate": policy.unavailable_rate,
-                "timeout_rate": policy.timeout_rate,
-                "rate_limit_rate": policy.rate_limit_rate,
-                "truncation_rate": policy.truncation_rate,
-                "burst": policy.burst,
-                "truncation_keep": policy.truncation_keep,
-                "latency": policy.latency,
-                "outages": dict(policy.outages),
-            },
+            "fault_policy": None if policy is None else asdict(policy),
         }
 
     def epoch(self) -> int:

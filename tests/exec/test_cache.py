@@ -1,5 +1,7 @@
 """Unit tests for the bounded LRU access cache and its metering policy."""
 
+import threading
+
 import pytest
 
 from repro.data.instance import Instance
@@ -274,3 +276,74 @@ class TestConcurrency:
         assert not errors
         assert cache.hits + cache.misses == 8 * fetches_per_thread
         assert cache.misses == source.total_invocations
+
+
+class _ForeignHitSource:
+    """Delegates to ``inner``; while ``armed``, each access first makes a
+    cache hit on an unrelated key -- standing in, deterministically, for
+    a concurrent request hitting the same shared cache mid-command."""
+
+    def __init__(self, inner, cache):
+        self.inner = inner
+        self.cache = cache
+        self.armed = False
+
+    def access(self, method_name, inputs=()):
+        if self.armed:
+            self.cache.fetch(self, "mt_scan", ())
+        return self.inner.access(method_name, inputs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestPerCallHitCounting:
+    """A command counts its own hits, not the shared counter's change."""
+
+    @pytest.mark.parametrize("executor", ["interpreter", "columnar"])
+    def test_foreign_hit_during_a_command_is_not_counted(self, source, executor):
+        from repro.exec.stats import ExecStats
+        from repro.plans.commands import AccessCommand, identity_output_map
+        from repro.plans.expressions import Singleton
+        from repro.plans.plan import Plan
+
+        cache = AccessCache()
+        wrapper = _ForeignHitSource(source, cache)
+        cache.fetch(wrapper, "mt_scan", ())  # warm the foreign key
+        wrapper.armed = True
+        plan = Plan(
+            (
+                AccessCommand(
+                    "T",
+                    "mt_key",
+                    Singleton(),
+                    (Constant("a"),),
+                    identity_output_map(("k", "v")),
+                ),
+            ),
+            "T",
+        )
+        stats = ExecStats()
+        table = plan.execute(wrapper, cache=cache, stats=stats, executor=executor)
+        assert len(table.rows) == 2
+        # The shared counter saw the foreign hit ...
+        assert cache.hits == 1
+        # ... but the command's own fetch was a miss.
+        assert [c.cache_hits for c in stats.commands] == [0]
+        # A repeat of the same command is one hit of its own.
+        stats = ExecStats()
+        plan.execute(wrapper, cache=cache, stats=stats, executor=executor)
+        assert [c.cache_hits for c in stats.commands] == [1]
+
+    def test_last_fetch_hit_is_per_thread_and_per_call(self, source):
+        cache = AccessCache()
+        assert cache.last_fetch_hit() is False
+        cache.fetch(source, "mt_key", (Constant("a"),))
+        assert cache.last_fetch_hit() is False
+        cache.fetch(source, "mt_key", (Constant("a"),))
+        assert cache.last_fetch_hit() is True
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(cache.last_fetch_hit()))
+        worker.start()
+        worker.join()
+        assert seen == [False]

@@ -53,6 +53,26 @@ class TestServeDemoResilience:
         assert "'hedge': True" in out
         assert "'watchdog_seconds': 5.0" in out
 
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_every_worker_tier_serves_clean(self, capsys, tier):
+        # The process tier cannot take the demo's access cache: the
+        # demo must leave it out there rather than be refused.
+        code = main(
+            [
+                "serve-demo",
+                "example1",
+                "--worker-tier", tier,
+                "--tier-workers", "1",
+                "--requests", "3",
+                "--latency", "0",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert f"'tier': '{tier}'" in out
+        assert "FAILED" not in out
+        assert ("cache: hits=" in out) == (tier == "thread")
+
     def test_resilience_flags_without_a_tier_print_a_note(self, capsys):
         code = main(
             [

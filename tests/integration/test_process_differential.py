@@ -55,7 +55,7 @@ def test_all_tiers_agree_on_scenarios(name, factory, budget):
     answers = {}
     for tier, make_pool in [
         ("none", lambda s: None),
-        ("thread", lambda s: ThreadWorkerPool(s, workers=2)),
+        ("thread", lambda s: ThreadWorkerPool(workers=2)),
         (
             "spawn",
             lambda s: ProcessWorkerPool.for_source(

@@ -26,11 +26,10 @@ from repro.plans.expressions import (
     Select,
     Union,
 )
+from repro.plans.ir import ir_to_plan, plan_to_ir
 from repro.plans.plan import Plan
 from repro.plans.tools import (
     eliminate_dead_commands,
-    plan_from_dict,
-    plan_to_dict,
     to_sql,
 )
 
@@ -135,8 +134,8 @@ def test_serialization_roundtrip_preserves_evaluation(expr):
         "OUT",
     )
     env = make_env()
-    data = json.loads(json.dumps(plan_to_dict(plan)))
-    restored = plan_from_dict(data)
+    data = json.loads(json.dumps(plan_to_ir(plan)))
+    restored = ir_to_plan(data)
     # Evaluate both output expressions directly over the environment.
     original = plan.commands[-1].expr.evaluate(env)
     copied = restored.commands[-1].expr.evaluate(env)

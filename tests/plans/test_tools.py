@@ -24,11 +24,10 @@ from repro.plans.expressions import (
     Singleton,
     Union,
 )
+from repro.plans.ir import ir_to_plan, plan_to_ir
 from repro.plans.plan import Plan
 from repro.plans.tools import (
     eliminate_dead_commands,
-    plan_from_dict,
-    plan_to_dict,
     to_sql,
 )
 from repro.scenarios import example1, example5
@@ -226,8 +225,8 @@ class TestSQLRendering:
 
 class TestSerialization:
     def roundtrip(self, plan):
-        data = json.loads(json.dumps(plan_to_dict(plan)))
-        return plan_from_dict(data)
+        data = json.loads(json.dumps(plan_to_ir(plan)))
+        return ir_to_plan(data)
 
     def test_roundtrip_preserves_structure(self):
         scenario = example1()

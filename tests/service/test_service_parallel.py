@@ -64,7 +64,7 @@ class TestTierEquivalence:
         if tier == "process":
             pool = ProcessWorkerPool.for_source(source, workers=2)
         else:
-            pool = ThreadWorkerPool(source, workers=2)
+            pool = ThreadWorkerPool(workers=2)
         with QueryService(source, workers=2, worker_pool=pool) as service:
             responses = [
                 ticket.result(timeout=120)
@@ -105,7 +105,7 @@ class TestTierEquivalence:
     def test_stats_merged_from_worker(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
-        pool = ThreadWorkerPool(source, workers=1)
+        pool = ThreadWorkerPool(workers=1)
         with QueryService(source, workers=1, worker_pool=pool) as service:
             response = service.serve(plan, timeout=60)
             health = service.health()
@@ -144,7 +144,7 @@ class TestHealthReporting:
     def test_dead_pool_is_reported_degraded_not_hung(self, parts):
         schema, instance, plan = parts
         source = InMemorySource(schema, instance)
-        pool = ThreadWorkerPool(source, workers=1)
+        pool = ThreadWorkerPool(workers=1)
         with QueryService(source, workers=1, worker_pool=pool) as service:
             # Simulate the tier dying out from under the service.
             pool.shutdown()

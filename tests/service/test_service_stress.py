@@ -12,6 +12,7 @@ pytest-timeout is installed) and every blocking wait has its own
 timeout, so a deadlock fails fast instead of hanging the suite.
 """
 
+import sys
 import threading
 
 import pytest
@@ -20,7 +21,7 @@ from repro.data.source import InMemorySource
 from repro.exec import AccessCache
 from repro.planner.search import SearchOptions, find_best_plan
 from repro.scenarios import example5
-from repro.service import PRIORITY_CLASSES, QueryService
+from repro.service import PRIORITY_CLASSES, QueryService, ThreadWorkerPool
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 6
@@ -28,6 +29,17 @@ REQUESTS_PER_CLIENT = 6
 
 @pytest.mark.timeout(120)
 def test_aggregate_stats_equal_sum_of_per_request_stats():
+    stress(worker_pool=None)
+
+
+@pytest.mark.timeout(120)
+def test_thread_tier_shares_the_runtime_under_stress():
+    # The tier's threads run over the service's own cache and breakers.
+    stress(worker_pool=ThreadWorkerPool(workers=8))
+
+
+def stress(worker_pool):
+    """Hammer one service; check answers and the books balance exactly."""
     scenario = example5()
     result = find_best_plan(
         scenario.schema, scenario.query, SearchOptions(max_accesses=4)
@@ -42,6 +54,7 @@ def test_aggregate_stats_equal_sum_of_per_request_stats():
         workers=8,
         max_queue=CLIENTS * REQUESTS_PER_CLIENT,
         cache=AccessCache(),
+        worker_pool=worker_pool,
     )
     responses = []
     responses_lock = threading.Lock()
@@ -61,16 +74,21 @@ def test_aggregate_stats_equal_sum_of_per_request_stats():
         except Exception as error:  # surfaced after the join below
             errors.append(error)
 
-    with service:
-        threads = [
-            threading.Thread(target=client, args=(index,))
-            for index in range(CLIENTS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=90)
-            assert not thread.is_alive(), "client thread hung"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # more thread switches, more interleavings
+    try:
+        with service:
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(CLIENTS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90)
+                assert not thread.is_alive(), "client thread hung"
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors, errors
 
     total = CLIENTS * REQUESTS_PER_CLIENT
@@ -115,6 +133,9 @@ def test_aggregate_stats_equal_sum_of_per_request_stats():
     cache = health.cache
     assert cache["hits"] + cache["misses"] == aggregate.accesses_dispatched
     assert cache["misses"] == source.total_invocations
+    # Each command counts its own hits, so no request's hits leak into
+    # another's: the per-request sums are exactly the cache's own count.
+    assert aggregate.cache_hits == cache["hits"]
 
 
 @pytest.mark.timeout(120)

@@ -21,6 +21,7 @@ from repro.data.decorators import (
 from repro.data.instance import Instance
 from repro.data.source import InMemorySource, ShardedInMemorySource
 from repro.errors import (
+    DeadlineExceeded,
     MethodOutage,
     PlanCancelled,
     RowBudgetExceeded,
@@ -31,21 +32,24 @@ from repro.exec.budget import ResourceBudget
 from repro.exec.resilience import RetryPolicy
 from repro.faults import FaultInjectingSource, FaultPolicy
 from repro.logic.terms import Constant
-from repro.plans.ir import plan_to_ir, table_from_ir, table_to_ir
+from repro.plans.ir import plan_to_ir
 from repro.schema.core import SchemaBuilder
+from repro.service import workers
+from repro.service.request import QueryRequest
+from repro.service.runtime import Runtime
 from repro.service.service import QueryService
 from repro.service.workers import (
     LatencyTracker,
     ProcessWorkerPool,
     SourceSpecError,
     ThreadWorkerPool,
-    decode_bindings,
-    encode_bindings,
-    encoded_plan_ir,
-    execute_payload,
-    merge_answer_tables,
-    rebuild_error,
-    retry_to_dict,
+    _decode_bindings,
+    _decode_response,
+    _encode_bindings,
+    _encode_request,
+    _encoded_plan_ir,
+    _rebuild_error,
+    _run_payload,
     source_to_spec,
     spec_to_source,
 )
@@ -86,6 +90,25 @@ def simple_plan(schema):
 
 def canonical(table):
     return (table.attributes, tuple(sorted(map(repr, table.rows))))
+
+
+def request_for(plan, **kwargs):
+    """A request as the service admits it, stamped now."""
+    return QueryRequest(
+        plan=plan, request_id="r1", submitted_at=time.monotonic(), **kwargs
+    )
+
+
+def shipped(source, request, monkeypatch):
+    """Run one request through the process-tier wire format in-process.
+
+    The request is encoded as the parent would, round-tripped through
+    JSON, and executed by the worker task over a runtime holding
+    ``source``; returns the (JSON-able) result dict.
+    """
+    monkeypatch.setattr(workers, "_WORKER_RUNTIME", Runtime(source))
+    payload = _encode_request(request, Runtime(source))
+    return _run_payload(json.loads(json.dumps(payload)))
 
 
 # ---------------------------------------------------------------- source spec
@@ -155,96 +178,83 @@ class TestSourceSpec:
 class TestPayload:
     def test_bindings_round_trip_through_json(self):
         bindings = {Constant("x"): Constant(3), Constant("y"): Constant("z")}
-        encoded = json.loads(json.dumps(encode_bindings(bindings)))
-        assert decode_bindings(encoded) == bindings
-        assert encode_bindings(None) is None
-        assert decode_bindings(None) is None
+        encoded = json.loads(json.dumps(_encode_bindings(bindings)))
+        assert _decode_bindings(encoded) == bindings
+        assert _encode_bindings(None) is None
+        assert _decode_bindings(None) is None
 
     def test_retry_round_trip(self):
-        retry = RetryPolicy(max_attempts=3, base_delay=0.01)
-        data = json.loads(json.dumps(retry_to_dict(retry)))
+        retry = RetryPolicy(max_attempts=3, base_delay=0.01, seed=9)
+        data = json.loads(json.dumps(retry.as_dict()))
         assert data["max_attempts"] == 3
-        assert retry_to_dict(None) is None
+        assert RetryPolicy.from_dict(data) == retry
 
-    def test_execute_payload_matches_direct_execution(self):
+    def test_execute_payload_matches_direct_execution(self, monkeypatch):
         schema = simple_schema()
         source = InMemorySource(schema, simple_instance())
         plan = simple_plan(schema)
         reference = plan.execute(source)
-        payload = json.loads(
-            json.dumps({"plan": plan_to_ir(plan), "collect_stats": True})
-        )
-        result = execute_payload(source, payload)
-        assert result["ok"]
-        assert canonical(table_from_ir(result["table"])) == canonical(
-            reference
-        )
-        assert result["stats"]["commands"]
+        result = shipped(source, request_for(plan), monkeypatch)
         json.dumps(result)  # the response is shippable too
+        response = _decode_response("r1", result)
+        assert response.complete
+        assert canonical(response.table) == canonical(reference)
+        assert response.stats.commands
 
-    def test_execute_payload_budget_truncation(self):
+    def test_execute_payload_budget_truncation(self, monkeypatch):
         schema = simple_schema()
         source = InMemorySource(schema, simple_instance())
         plan = simple_plan(schema)
         reference = sorted(plan.execute(source).rows)
-        budget = ResourceBudget(max_result_rows=3)
-        result = execute_payload(
-            source, {"plan": plan_to_ir(plan), "budget": budget.as_dict()}
+        request = request_for(plan, budget=ResourceBudget(max_result_rows=3))
+        response = _decode_response(
+            "r1", shipped(source, request, monkeypatch)
         )
-        assert result["ok"]
-        assert result["truncated"] == len(reference) - 3
-        assert sorted(table_from_ir(result["table"]).rows) == reference[:3]
+        assert response.partial
+        assert response.truncated_rows == len(reference) - 3
+        assert sorted(response.table.rows) == reference[:3]
 
-    def test_execute_payload_reports_typed_error(self):
+    def test_execute_payload_reports_typed_error(self, monkeypatch):
         schema = simple_schema()
         source = FaultInjectingSource(
             InMemorySource(schema, simple_instance()),
             FaultPolicy(seed=0, outages={"mt_R": 0}),
         )
-        result = execute_payload(
-            source, {"plan": plan_to_ir(simple_plan(schema))}
-        )
-        assert not result["ok"]
+        result = shipped(source, request_for(simple_plan(schema)), monkeypatch)
         assert result["error_type"] == "MethodOutage"
-        rebuilt = rebuild_error(result)
+        rebuilt = _rebuild_error(result)
         assert isinstance(rebuilt, MethodOutage)
+        response = _decode_response("r1", result)
+        assert not response.ok
+        assert isinstance(response.error, MethodOutage)
+        assert response.error.method == "mt_R"
 
     def test_rebuild_error_falls_back_for_unknown_types(self):
         from repro.errors import ExecutionError
 
-        rebuilt = rebuild_error(
+        rebuilt = _rebuild_error(
             {"error_type": "NoSuchError", "error": "boom"}
         )
         assert isinstance(rebuilt, ExecutionError)
         # A name that exists but is not a ReproError must not be raised.
-        rebuilt = rebuild_error({"error_type": "__name__", "error": "x"})
+        rebuilt = _rebuild_error({"error_type": "__name__", "error": "x"})
         assert isinstance(rebuilt, ExecutionError)
 
     def test_rebuild_budget_error(self):
-        rebuilt = rebuild_error(
+        rebuilt = _rebuild_error(
             {"error_type": "RowBudgetExceeded", "error": "over"}
         )
         assert isinstance(rebuilt, RowBudgetExceeded)
 
-
-# ------------------------------------------------------------------- merging
-class TestMerge:
-    def test_merge_unions_with_set_semantics(self):
+    def test_deadline_ships_as_the_seconds_left(self):
         schema = simple_schema()
         source = InMemorySource(schema, simple_instance())
-        plan = simple_plan(schema)
-        table = plan.execute(source)
-        half_a = table_to_ir(table)
-        merged = merge_answer_tables(
-            [{"table": half_a}, {"table": half_a}]
-        )
-        assert canonical(merged) == canonical(table)
-
-    def test_merge_rejects_attribute_disagreement(self):
-        a = {"table": {"attrs": ["x"], "rows": []}}
-        b = {"table": {"attrs": ["y"], "rows": []}}
-        with pytest.raises(ValueError):
-            merge_answer_tables([a, b])
+        request = request_for(simple_plan(schema), deadline_seconds=30.0)
+        payload = _encode_request(request, Runtime(source))
+        assert 0 < payload["deadline"] <= 30.0
+        assert _encode_request(
+            request_for(simple_plan(schema)), Runtime(source)
+        )["deadline"] is None
 
 
 # --------------------------------------------------------------- thread tier
@@ -254,17 +264,18 @@ class TestThreadWorkerPool:
         source = InMemorySource(schema, simple_instance())
         plan = simple_plan(schema)
         reference = canonical(plan.execute(source))
-        with ThreadWorkerPool(source, workers=2) as pool:
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            assert canonical(table_from_ir(result["table"])) == reference
+        runtime = Runtime(source)
+        with ThreadWorkerPool(workers=2) as pool:
+            response = pool.run(request_for(plan), runtime, timeout=30)
+            assert response.complete
+            assert canonical(response.table) == reference
             health = pool.health()
             assert health["tier"] == "thread"
             assert health["alive"]
             assert health["tasks"] == 1
         assert not pool.alive()
         with pytest.raises(WorkerCrashed):
-            pool.run_request({"plan": plan_to_ir(plan)})
+            pool.run(request_for(plan), runtime)
 
 
 # -------------------------------------------------------------- process tier
@@ -279,11 +290,9 @@ class TestProcessWorkerPool:
             source, workers=2, start_method=start_method
         )
         with pool:
-            result = pool.run_request(
-                {"plan": plan_to_ir(plan)}, timeout=120
-            )
-            assert result["ok"], result
-            assert canonical(table_from_ir(result["table"])) == reference
+            response = pool.run(request_for(plan), Runtime(source), timeout=120)
+            assert response.complete, response.describe()
+            assert canonical(response.table) == reference
             health = pool.health()
             assert health["tier"] == "process"
             assert health["start_method"] == start_method
@@ -305,13 +314,13 @@ class TestProcessWorkerPool:
             # The next request surfaces a *typed* failure, not a hang
             # and not a bare concurrent.futures internal error.
             with pytest.raises(WorkerCrashed) as excinfo:
-                pool.run_request({"plan": plan_to_ir(plan)}, timeout=60)
+                pool.run(request_for(plan), Runtime(source), timeout=60)
             assert excinfo.value.restarts >= 1
             # ... and the pool has already been rebuilt: same request,
             # same bytes, no manual intervention.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=120)
-            assert result["ok"], result
-            assert canonical(table_from_ir(result["table"])) == reference
+            response = pool.run(request_for(plan), Runtime(source), timeout=120)
+            assert response.complete, response.describe()
+            assert canonical(response.table) == reference
             health = pool.health()
             assert health["alive"]
             assert health["crashes"] == 1
@@ -321,7 +330,78 @@ class TestProcessWorkerPool:
         source = InMemorySource(simple_schema(), simple_instance())
         pool = ProcessWorkerPool.for_source(source, workers=1)
         with pytest.raises(WorkerCrashed):
-            pool.run_request({"plan": {}})
+            pool.run(request_for(simple_plan(simple_schema())), Runtime(source))
+
+
+# -------------------------------------------------- deadline across the tier
+def keyed_lookup():
+    """A scan of 20 keys feeding a keyed lookup: 21 distinct accesses."""
+    from repro.plans.commands import AccessCommand, identity_output_map
+    from repro.plans.expressions import Scan, Singleton
+    from repro.plans.plan import Plan
+
+    schema = (
+        SchemaBuilder("lookup")
+        .relation("K", 1)
+        .relation("V", 2)
+        .access("mt_keys", "K", inputs=[], cost=1.0)
+        .access("mt_value", "V", inputs=[0], cost=1.0)
+        .build()
+    )
+    instance = Instance(
+        {
+            "K": [(f"k{i}",) for i in range(20)],
+            "V": [(f"k{i}", f"v{i}") for i in range(20)],
+        }
+    )
+    keys = AccessCommand(
+        "T1", "mt_keys", Singleton(), (), identity_output_map(("k",))
+    )
+    scan = Plan((keys,), "T1")
+    lookup = Plan(
+        (
+            keys,
+            AccessCommand(
+                "T2", "mt_value", Scan("T1"), ("k",),
+                identity_output_map(("k", "v")),
+            ),
+        ),
+        "T2",
+    )
+    return schema, instance, scan, lookup
+
+
+class TestDeadlineCrossesTheBoundary:
+    """The worker's dispatcher gives up at the request's deadline."""
+
+    def test_next_request_does_not_wait_out_the_last_ones_retries(self):
+        schema, instance, scan, lookup = keyed_lookup()
+        # Every access fails twice, then answers, and each attempt takes
+        # 30 ms: the lookup plan needs about 2 s of retries.  Backoff is
+        # 0.5 s per retry, longer than the whole 0.3 s deadline, so a
+        # worker that knows the deadline stops at the first backoff.
+        source = LatencySource(
+            FaultInjectingSource(
+                InMemorySource(schema, instance),
+                FaultPolicy(seed=0, unavailable_rate=1.0, burst=2),
+            ),
+            0.03,
+        )
+        pool = ProcessWorkerPool.for_source(
+            source, workers=1, start_method="fork"
+        )
+        retry = RetryPolicy(max_attempts=3, base_delay=0.5, jitter=0.0)
+        service = QueryService(source, workers=1, worker_pool=pool, retry=retry)
+        with service:
+            # Warm-up: boots the worker and spends mt_keys' two faults.
+            assert service.serve(scan, timeout=120).complete
+            late = service.serve(lookup, deadline=0.3, timeout=120)
+            assert isinstance(late.error, DeadlineExceeded)
+            started = time.monotonic()
+            after = service.serve(scan, timeout=120)
+            waited = time.monotonic() - started
+        assert after.complete
+        assert waited < 0.8, f"next request waited {waited:.2f}s"
 
 
 # ------------------------------------------------------------ latency tracker
@@ -379,9 +459,9 @@ class TestWatchdog:
             slow_every=1,  # every access stalls
         )
         plan = simple_plan(schema)
-        with ThreadWorkerPool(source, workers=2, watchdog_seconds=0.1) as pool:
+        with ThreadWorkerPool(workers=2, watchdog_seconds=0.1) as pool:
             with pytest.raises(WorkerStalled) as excinfo:
-                pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
+                pool.run(request_for(plan), Runtime(source), timeout=30)
             # Threads cannot be killed: the slot leaks, and says so.
             assert not excinfo.value.killed
             health = pool.health()
@@ -403,18 +483,18 @@ class TestWatchdog:
         )
         with pool:
             # Request 1: accesses 1-2 on the single worker, both fast.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=60)
-            assert result["ok"]
+            result = pool.run(request_for(plan), Runtime(source), timeout=60)
+            assert result.complete
             # Request 2: access 3 sleeps 30s; the watchdog reclaims the
             # slot in 0.5s with a typed, killed=True stall.
             with pytest.raises(WorkerStalled) as excinfo:
-                pool.run_request({"plan": plan_to_ir(plan)}, timeout=60)
+                pool.run(request_for(plan), Runtime(source), timeout=60)
             assert excinfo.value.killed
             # Request 3: the recreated worker starts a fresh storm
             # counter, so the same request now succeeds -- same bytes.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=60)
-            assert result["ok"]
-            assert canonical(table_from_ir(result["table"])) == reference
+            result = pool.run(request_for(plan), Runtime(source), timeout=60)
+            assert result.complete
+            assert canonical(result.table) == reference
             health = pool.health()
             assert health["alive"]
             assert health["stalls"] == 1
@@ -424,7 +504,7 @@ class TestWatchdog:
     def test_watchdog_seconds_must_be_positive(self):
         source = InMemorySource(simple_schema(), simple_instance())
         with pytest.raises(ValueError):
-            ThreadWorkerPool(source, watchdog_seconds=0.0)
+            ThreadWorkerPool(watchdog_seconds=0.0)
         with pytest.raises(ValueError):
             ProcessWorkerPool.for_source(source, hedge_delay=-1.0)
 
@@ -442,19 +522,19 @@ class TestHedging:
         plan = simple_plan(schema)
         reference = canonical(plan.execute(InMemorySource(schema, simple_instance())))
         with ThreadWorkerPool(
-            source, workers=2, hedge=True, hedge_delay=0.05
+            workers=2, hedge=True, hedge_delay=0.05
         ) as pool:
             assert pool.hedge_delay() == pytest.approx(0.05)
             # Request 1: accesses 1-2 both fast -- answered before the
             # hedge delay, so no duplicate is issued.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
+            result = pool.run(request_for(plan), Runtime(source), timeout=30)
+            assert result.complete
             assert pool.health()["hedges"] == 0
             # Request 2: access 3 sleeps 0.5s; the duplicate issued at
             # 0.05s runs accesses 4-5 (fast) and wins.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
-            assert canonical(table_from_ir(result["table"])) == reference
+            result = pool.run(request_for(plan), Runtime(source), timeout=30)
+            assert result.complete
+            assert canonical(result.table) == reference
             health = pool.health()
             assert health["hedges"] == 1
             assert health["hedge_wins"] == 1
@@ -470,10 +550,10 @@ class TestHedging:
         )
         plan = simple_plan(schema)
         with ThreadWorkerPool(
-            source, workers=2, hedge=True, hedge_delay=0.05
+            workers=2, hedge=True, hedge_delay=0.05
         ) as pool:
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
+            result = pool.run(request_for(plan), Runtime(source), timeout=30)
+            assert result.complete
             health = pool.health()
             # The primary had a head start over the equally slow
             # duplicate, so it finished first: the hedge was waste.
@@ -485,8 +565,8 @@ class TestHedging:
         schema = simple_schema()
         source = InMemorySource(schema, simple_instance())
         plan = simple_plan(schema)
-        with ThreadWorkerPool(source, workers=2) as pool:
-            pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
+        with ThreadWorkerPool(workers=2) as pool:
+            pool.run(request_for(plan), Runtime(source), timeout=30)
             health = pool.health()
             assert health["hedge"] is False
             assert health["hedges"] == 0
@@ -508,22 +588,22 @@ class TestHedgeCancellation:
         )
         plan = simple_plan(schema)
         with ThreadWorkerPool(
-            source, workers=2, hedge=True, hedge_delay=0.05
+            workers=2, hedge=True, hedge_delay=0.05
         ) as pool:
             # Request 1 is fast (accesses 1-2): no hedge, nothing to
             # cancel.  Request 2's primary sleeps 0.5s on access 3;
             # the duplicate wins, and the still-running primary gets
             # its cancellation token set instead of a silent leak.
-            pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
+            pool.run(request_for(plan), Runtime(source), timeout=30)
+            result = pool.run(request_for(plan), Runtime(source), timeout=30)
+            assert result.complete
             health = pool.health()
             assert health["hedge_wins"] == 1
             assert health["hedge_cancelled"] == 1
             # The flagged loser frees its slot: both workers answer a
             # follow-up promptly instead of one being wedged.
-            result = pool.run_request({"plan": plan_to_ir(plan)}, timeout=30)
-            assert result["ok"]
+            result = pool.run(request_for(plan), Runtime(source), timeout=30)
+            assert result.complete
 
     def test_cancel_token_stops_plan_execution_between_commands(self):
         import threading
@@ -544,8 +624,8 @@ class TestEncodedPlanMemo:
     def test_encoding_is_memoized_and_faithful(self):
         schema = simple_schema()
         plan = simple_plan(schema)
-        first = encoded_plan_ir(plan)
-        assert encoded_plan_ir(plan) is first
+        first = _encoded_plan_ir(plan)
+        assert _encoded_plan_ir(plan) is first
         assert first == plan_to_ir(plan)
         # Memoized payloads still cross the boundary as plain JSON.
         assert json.loads(json.dumps(first)) == first
@@ -578,7 +658,7 @@ class TestPartialMarkingsAcrossTier:
         schema = simple_schema()
         plan, reference = self._expected(schema)
         source = InMemorySource(schema, simple_instance())
-        pool = ThreadWorkerPool(source, workers=2)
+        pool = ThreadWorkerPool(workers=2)
         service = QueryService(source, workers=2, worker_pool=pool)
         with service:
             response = service.serve(
