@@ -23,6 +23,10 @@ writes ``BENCH_adapters.json`` (rendered by ``report.py
 * **throughput** -- sequential plan executions per backend, so the
   adapter overhead (SQL round trips, HTTP pagination) is visible next
   to the oracle's in-process dictionary lookups.
+* **batch scaling** -- one ``SQLiteSource.access_batch`` at 1,000 and
+  at 4,000 keys over as many rows.  Linear matching makes the 4x batch
+  cost about 4x (CI gates the ratio at 8); matching every key against
+  every row would cost about 16x.  A ratio, so machine speed cancels.
 """
 
 import argparse
@@ -37,7 +41,9 @@ from repro.exec.resilience import (
     RetryPolicy,
 )
 from repro.faults import FaultInjectingSource, FaultPolicy
+from repro.data.instance import Instance
 from repro.planner.search import SearchOptions, find_best_plan
+from repro.schema.core import SchemaBuilder
 from repro.scenarios import (
     example1,
     example2,
@@ -326,12 +332,41 @@ def throughput(requests=32, seed=0):
     return rows
 
 
+def batch_scaling(sizes=(1000, 4000), repeats=3):
+    """Time one single-input SQLite batch per size (keys = rows).
+
+    Each size reports the best of ``repeats`` runs; ``ratio`` is the
+    largest size's time over the smallest's.
+    """
+    schema = (
+        SchemaBuilder("batch_scaling")
+        .relation("R", 2)
+        .access("mt_R", "R", inputs=[0], cost=1.0)
+        .build()
+    )
+    rows = []
+    for n in sizes:
+        instance = Instance({"R": [(f"k{i}", i) for i in range(n)]})
+        source = SQLiteSource(schema, instance)
+        keys = [(f"k{i}",) for i in range(n)]
+        best = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            answers = source.access_batch("mt_R", keys)
+            best = min(best, time.perf_counter() - started)
+        assert len(answers) == n
+        assert all(len(found) == 1 for found in answers.values())
+        rows.append({"keys": n, "rows": n, "seconds": best})
+    return {"rows": rows, "ratio": rows[-1]["seconds"] / rows[0]["seconds"]}
+
+
 def run_benchmark(quick):
     """The full report dict (also asserting every identity throughout)."""
     matrix = differential_matrix(quick)
     assert matrix and all(row["identical"] for row in matrix)
     compliance = rate_limit_compliance(80 if quick else 200)
     rates = throughput(16 if quick else 64)
+    scaling = batch_scaling()
     paced = next(row for row in compliance if row["paced"])
     return {
         "benchmark": "bench_adapters",
@@ -342,6 +377,7 @@ def run_benchmark(quick):
             "compliant": paced["over_budget"] == 0,
         },
         "throughput": {"rows": rates},
+        "batch_scaling": scaling,
     }
 
 
@@ -379,6 +415,14 @@ def main(argv=None):
             f"throughput [{row['backend']}]: "
             f"{row['throughput_rps']:.0f} req/s"
         )
+    scaling = report["batch_scaling"]
+    small, large = scaling["rows"][0], scaling["rows"][-1]
+    print(
+        f"batch scaling: {small['keys']} keys "
+        f"{small['seconds'] * 1e3:.1f} ms, {large['keys']} keys "
+        f"{large['seconds'] * 1e3:.1f} ms "
+        f"(ratio {scaling['ratio']:.1f})"
+    )
     print(f"wrote {args.output}")
     return 0
 

@@ -648,6 +648,24 @@ def render_adapters(report: Dict) -> str:
             )
             + " |"
         )
+    scaling = report.get("batch_scaling")
+    if scaling:
+        lines += [
+            "",
+            "### SQLite batch scaling (one access_batch, keys = rows)",
+            "",
+            "| keys | rows | best time |",
+            "|---|---|---|",
+        ]
+        for row in scaling["rows"]:
+            lines.append(
+                f"| {row['keys']} | {row['rows']} "
+                f"| {row['seconds'] * 1e3:.1f} ms |"
+            )
+        lines += [
+            "",
+            f"Time ratio largest/smallest: **{scaling['ratio']:.1f}**",
+        ]
     lines.append("")
     return "\n".join(lines)
 

@@ -233,13 +233,17 @@ def table_to_ir(table: NamedTable) -> Dict[str, Any]:
     This is how worker processes ship results back to the service: the
     rows are emitted in sorted order, so equal tables serialize to equal
     bytes and the parent's merge of several workers' answers is
-    deterministic regardless of which worker finished first.
+    deterministic regardless of which worker finished first.  The sort
+    key is each row's cell reprs, computed once per row (the terms'
+    own order would repr both sides of every comparison).
     """
     return {
         "attrs": list(table.attributes),
         "rows": [
             [term_to_ir(cell) for cell in row]
-            for row in sorted(table.rows)
+            for row in sorted(
+                table.rows, key=lambda row: tuple(map(repr, row))
+            )
         ],
     }
 

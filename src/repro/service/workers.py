@@ -487,7 +487,13 @@ def _run_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
         request_id=payload["request_id"],
         submitted_at=runtime.clock(),
     )
-    return _encode_response(run_request(request, runtime))
+    try:
+        return _encode_response(run_request(request, runtime))
+    finally:
+        # The worker's access log lives for one request: nothing reads
+        # it across the process boundary (the parent meters through the
+        # shipped ExecStats), so keeping it would only grow the worker.
+        runtime.source.reset_log()
 
 
 # -------------------------------------------------------- latency tracking

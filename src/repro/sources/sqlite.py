@@ -31,6 +31,13 @@ Connection lifecycle is defensive by construction:
   reloaded tables are provably the same snapshot, which is what makes
   answers byte-identical across mid-plan connection loss.
 
+Batched access costs what its rows cost: :meth:`access_batch` sends
+one ``IN``-list statement per parameter chunk (chunks never exceed the
+connection's host-parameter limit, so an oversized batch is never
+mistaken for a dead connection), decodes each distinct cell text once
+per statement through a per-call memo, and matches keys to rows by one
+grouping pass -- O(rows + keys), not keys x rows.
+
 Chaos hooks: :meth:`sever_connection` kills the live connection (the
 next statement walks the reconnect path) and ``drop_every=N`` severs
 it automatically before every N-th statement -- a deterministic
@@ -43,6 +50,7 @@ import json
 import sqlite3
 import threading
 import time
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -72,6 +80,38 @@ def _encode_cell(value) -> str:
 def _decode_cell(text: str) -> Constant:
     """Inverse of :func:`_encode_cell`."""
     return _to_constant(json.loads(text))
+
+
+def _decode_rows(rows: List[Tuple[str, ...]]) -> List[Tuple[Constant, ...]]:
+    """Decode fetched rows, each distinct cell text once.
+
+    Rows repeat the same ids heavily (a venue per article, a document
+    per author), so a per-statement memo turns most decodes into one
+    dict lookup.  ``Constant`` is immutable, so sharing cells is safe.
+    """
+    texts = set(chain.from_iterable(rows))
+    memo = {text: _decode_cell(text) for text in texts}
+    return [tuple(map(memo.__getitem__, row)) for row in rows]
+
+
+#: Host-parameter limit assumed where the connection cannot report its
+#: own (``Connection.getlimit`` is Python 3.11+): SQLite's pre-3.32
+#: compiled default, which every build accepts.
+_FALLBACK_PARAM_LIMIT = 999
+
+
+def _param_limit(conn: sqlite3.Connection) -> int:
+    """How many ``?`` parameters one statement on ``conn`` may carry.
+
+    A severed connection cannot report its limit; the fallback is safe
+    for the fresh connection the reconnect path opens in its place.
+    """
+    if not hasattr(conn, "getlimit"):
+        return _FALLBACK_PARAM_LIMIT
+    try:
+        return conn.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+    except sqlite3.ProgrammingError:  # closed connection
+        return _FALLBACK_PARAM_LIMIT
 
 
 def _key_encodings(value) -> List[str]:
@@ -262,10 +302,7 @@ class SQLiteSource(MeteredSourceMixin):
         sql = f'SELECT * FROM "{method.relation}"'
         if clauses:
             sql += f" WHERE {' AND '.join(clauses)}"
-        return frozenset(
-            tuple(_decode_cell(cell) for cell in row)
-            for row in self._execute(sql, params)
-        )
+        return frozenset(_decode_rows(self._execute(sql, params)))
 
     def access(
         self, method_name: str, inputs: Sequence[object] = ()
@@ -289,11 +326,17 @@ class SQLiteSource(MeteredSourceMixin):
     ) -> Dict[Tuple[Constant, ...], FrozenSet[Tuple[Constant, ...]]]:
         """Answer several distinct input tuples in one round trip.
 
-        Single-input methods use one ``IN``-list SELECT; wider methods
-        fall back to per-key SELECTs inside one lock hold.  Metering is
-        per *logical access* either way -- one record per input tuple,
-        identical to the per-key loop -- so batching changes round
-        trips, never the books.
+        Single-input methods send one ``IN``-list SELECT per parameter
+        chunk -- a chunk holds at most the connection's host-parameter
+        limit, so a batch under the limit is exactly one statement --
+        then group the decoded rows once by the input column and answer
+        each key by lookup: O(rows + keys) matching, one decode per
+        distinct cell text.  Grouping uses ``Constant`` equality, so
+        ``1``, ``1.0`` and ``True`` match one another exactly as in the
+        in-memory oracle.  Wider methods fall back to per-key SELECTs
+        inside one lock hold.  Metering is per *logical access* either
+        way -- one record per input tuple, identical to the per-key
+        loop -- so batching changes round trips, never the books.
         """
         method = self.schema.method(method_name)
         keyed = [self._check_method(method_name, v)[1] for v in inputs_list]
@@ -302,25 +345,27 @@ class SQLiteSource(MeteredSourceMixin):
             self.batched_calls += 1
             if len(method.input_positions) == 1 and keyed:
                 position = method.input_positions[0]
-                params = [
-                    text
-                    for values in keyed
-                    for text in _key_encodings(values[0].value)
-                ]
-                marks = ", ".join("?" for _ in params)
-                rows = self._execute(
-                    f'SELECT * FROM "{method.relation}" '
-                    f"WHERE c{position} IN ({marks})",
-                    params,
-                )
-                decoded = [
-                    tuple(_decode_cell(cell) for cell in row)
-                    for row in rows
-                ]
-                for values in keyed:
-                    results[values] = frozenset(
-                        row for row in decoded if row[position] == values[0]
+                params = list(
+                    dict.fromkeys(
+                        text
+                        for values in keyed
+                        for text in _key_encodings(values[0].value)
                     )
+                )
+                limit = _param_limit(self._conn)
+                groups: Dict[Constant, set] = {}
+                for start in range(0, len(params), limit):
+                    chunk = params[start : start + limit]
+                    marks = ", ".join("?" for _ in chunk)
+                    rows = self._execute(
+                        f'SELECT * FROM "{method.relation}" '
+                        f"WHERE c{position} IN ({marks})",
+                        chunk,
+                    )
+                    for row in _decode_rows(rows):
+                        groups.setdefault(row[position], set()).add(row)
+                for values in keyed:
+                    results[values] = frozenset(groups.get(values[0], ()))
             else:
                 for values in keyed:
                     results[values] = self._select(method, values)

@@ -229,6 +229,27 @@ class TestPayload:
         assert isinstance(response.error, MethodOutage)
         assert response.error.method == "mt_R"
 
+    def test_worker_log_lives_for_one_request(self, monkeypatch):
+        from repro.sources import SQLiteSource
+
+        schema = simple_schema()
+        source = SQLiteSource(schema, simple_instance())
+        plan = simple_plan(schema)
+        reference = canonical(plan.execute(source))
+        monkeypatch.setattr(workers, "_WORKER_RUNTIME", None)
+        workers._init_worker(json.loads(json.dumps(source_to_spec(source))))
+        worker_source = workers._WORKER_RUNTIME.source
+        assert isinstance(worker_source, SQLiteSource)
+        payload = _encode_request(request_for(plan), Runtime(source))
+        for _ in range(2):
+            result = _run_payload(json.loads(json.dumps(payload)))
+            assert worker_source.log == []
+            response = _decode_response("r1", result)
+            assert response.complete
+            assert canonical(response.table) == reference
+            # The parent still meters the request through ExecStats.
+            assert response.stats.commands
+
     def test_rebuild_error_falls_back_for_unknown_types(self):
         from repro.errors import ExecutionError
 

@@ -1,5 +1,8 @@
 """SQLiteSource: typed cells, reconnect lifecycle, epochs, batching."""
 
+import sqlite3
+import time
+
 import pytest
 
 from repro.data.instance import Instance
@@ -8,6 +11,7 @@ from repro.errors import AccessViolation, SourceUnavailable
 from repro.scenarios import example1
 from repro.schema.core import SchemaBuilder
 from repro.sources import SQLiteSource
+from repro.sources.sqlite import _FALLBACK_PARAM_LIMIT, _param_limit
 
 _NO_SLEEP = lambda _seconds: None  # noqa: E731
 
@@ -138,3 +142,82 @@ class TestBatching:
         before = sql._statements
         sql.access_batch("mt_T", [(1,), (True,), ("1",)])
         assert sql._statements == before + 1
+
+    def test_batch_parity_on_python_equal_keys(self):
+        schema = typed_schema()
+        instance = Instance(
+            {
+                "T": [
+                    (1, "int"), (1, "int again"), (1.0, "float"),
+                    (True, "bool"), ("1", "str"), ("1", "str again"),
+                    (2, "other"),
+                ]
+            }
+        )
+        sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        per_key = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        mem = InMemorySource(schema, instance)
+        keys = [(1,), (1.0,), (True,), ("1",), ("missing",)]
+        batched = sql.access_batch("mt_T", keys)
+        # One logical access metered per key, duplicates included.
+        assert sql.total_invocations == len(keys)
+        assert [rec.inputs for rec in sql.log] == [
+            sql._check_method("mt_T", key)[1] for key in keys
+        ]
+        for key in keys:
+            answer = batched[sql._check_method("mt_T", key)[1]]
+            assert answer == per_key.access("mt_T", key)
+            assert answer == mem.access("mt_T", key)
+        # 1, 1.0 and True are one key to the oracle: four rows each.
+        assert len(batched[sql._check_method("mt_T", (1,))[1]]) == 4
+        assert batched[sql._check_method("mt_T", ("missing",))[1]] == (
+            frozenset()
+        )
+
+    def test_batch_time_is_linear_in_keys_and_rows(self):
+        n = 4000
+        schema = (
+            SchemaBuilder("wide")
+            .relation("R", 2)
+            .access("mt_R", "R", inputs=[0], cost=1.0)
+            .build()
+        )
+        instance = Instance({"R": [(f"k{i}", i) for i in range(n)]})
+        sql = SQLiteSource(schema, instance, sleep=_NO_SLEEP)
+        keys = [(f"k{i}",) for i in range(n)]
+        started = time.perf_counter()
+        batched = sql.access_batch("mt_R", keys)
+        elapsed = time.perf_counter() - started
+        # Matching every key against every row took seconds here.
+        assert elapsed < 1.0, f"{n} x {n} batch took {elapsed:.2f} s"
+        assert len(batched) == n
+        key = sql._check_method("mt_R", ("k17",))[1]
+        assert batched[key] == sql.access("mt_R", ("k17",))
+
+    @pytest.mark.skipif(
+        not hasattr(sqlite3.Connection, "setlimit"),
+        reason="Connection.setlimit needs Python 3.11+",
+    )
+    def test_batch_over_the_parameter_limit_is_chunked(self):
+        scenario = example1(professors=20, directory_extra=0)
+        instance = scenario.instance(0)
+        sql = SQLiteSource(scenario.schema, instance, sleep=_NO_SLEEP)
+        sql._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 10)
+        keys = [(f"e{i}",) for i in range(20)]
+        before = sql._statements
+        batched = sql.access_batch("mt_prof", keys)
+        # Twenty one-spelling keys in chunks of ten: two statements, and
+        # no "too many SQL variables" mistaken for a dead connection.
+        assert sql._statements == before + 2
+        assert sql.reconnects == 0
+        for key in keys:
+            assert batched[sql._check_method("mt_prof", key)[1]] == (
+                sql.access("mt_prof", key)
+            )
+        assert sql.reconnects == 0
+
+    def test_parameter_limit_falls_back_without_getlimit(self):
+        assert _param_limit(object()) == _FALLBACK_PARAM_LIMIT
+        closed = sqlite3.connect(":memory:")
+        closed.close()
+        assert _param_limit(closed) == _FALLBACK_PARAM_LIMIT
